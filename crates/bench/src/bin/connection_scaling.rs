@@ -3,10 +3,9 @@
 //! Holds {64, 1k, 10k} concurrent subscriber connections against one
 //! reactor broker and measures what the reactor is supposed to make
 //! flat: broker-side thread count and per-connection resident memory.
-//! Fan-out throughput (every publish delivered to every subscriber) is
-//! compared against the retained thread-per-connection baseline at 64
-//! connections — the largest point where 2-threads-per-conn is still a
-//! reasonable thing to ask of the machine.
+//! Fan-out throughput (every publish delivered to every subscriber) at
+//! 64 connections is gated against the thread-per-connection transport's
+//! recorded figure ([`THREADED_FANOUT_64`]).
 //!
 //! Subscribers are hosted in child processes (`--herd` mode, spawned
 //! from this same binary): with a 20k fd ceiling, 10k sockets cannot
@@ -21,14 +20,14 @@
 //! still asserts the flat-thread and flat-memory invariants at reduced
 //! scale.
 
-use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write as IoWrite};
+use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use psguard_bench::support::{write_bench_json, Json};
 use psguard_model::{Event, Filter};
-use psguard_siena::{spawn_broker_with, spawn_threaded_broker_with, ClientReactor, TcpConfig};
+use psguard_siena::{spawn_broker_with, ClientReactor, TcpConfig};
 
 /// Subscriber connections per herd child (5k sockets + slack per child).
 const CONNS_PER_CHILD: usize = 5_000;
@@ -38,6 +37,11 @@ const REACTORS_PER_CHILD: usize = 4;
 const PAYLOAD: usize = 256;
 /// Broker worker threads: fixed, and the point of the measurement.
 const WORKERS: usize = 2;
+/// Fan-out of the retired thread-per-connection transport at 64
+/// connections, deliveries/s: the `"threaded"` row of the full-run
+/// `BENCH_connections.json` committed with the reactor. The reactor
+/// must keep at least 0.9x of it.
+const THREADED_FANOUT_64: f64 = 110_925.7;
 
 fn base_config(events: usize) -> TcpConfig {
     TcpConfig {
@@ -210,7 +214,6 @@ impl Herd {
 // ------------------------------------------------------------- parent
 
 struct Point {
-    transport: &'static str,
     conns: usize,
     events: usize,
     deliveries: u64,
@@ -224,16 +227,12 @@ struct Point {
 
 /// One measured cell: RSS and thread deltas while `conns` subscriber
 /// connections are held, then the wall time for `events` publishes to
-/// reach every subscriber. `addr`/`stats` abstract over the two broker
-/// transports.
-fn measure_point(
-    transport: &'static str,
-    addr: SocketAddr,
-    conns: usize,
-    events: usize,
-    cfg: TcpConfig,
-    broker_threads: usize,
-) -> Point {
+/// reach every subscriber.
+fn measure(conns: usize, events: usize) -> Point {
+    let cfg = base_config(events);
+    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
+    let addr = broker.addr();
+    let broker_threads = broker.thread_count();
     let threads0 = process_threads();
     let rss0 = rss_bytes();
 
@@ -256,8 +255,14 @@ fn measure_point(
     herd.join();
     let deliveries: u64 = got.iter().sum();
 
+    assert_eq!(
+        broker.thread_count(),
+        broker_threads,
+        "broker thread count moved under {conns} connections"
+    );
+    let dropped_frames = broker.stats().dropped_frames;
+    broker.shutdown();
     Point {
-        transport,
         conns,
         events,
         deliveries,
@@ -266,33 +271,8 @@ fn measure_point(
         threads_delta_held,
         per_conn_rss,
         broker_threads,
-        dropped_frames: 0,
+        dropped_frames,
     }
-}
-
-fn measure_reactor(conns: usize, events: usize) -> Point {
-    let cfg = base_config(events);
-    let broker = spawn_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
-    let broker_threads = broker.thread_count();
-    let mut p = measure_point("reactor", broker.addr(), conns, events, cfg, broker_threads);
-    assert_eq!(
-        broker.thread_count(),
-        broker_threads,
-        "broker thread count moved under {conns} connections"
-    );
-    p.dropped_frames = broker.stats().dropped_frames;
-    broker.shutdown();
-    p
-}
-
-fn measure_threaded(conns: usize, events: usize) -> Point {
-    let cfg = base_config(events);
-    let broker =
-        spawn_threaded_broker_with::<Filter>("127.0.0.1:0", None, cfg).expect("spawn broker");
-    let mut p = measure_point("threaded", broker.addr(), conns, events, cfg, 0);
-    p.dropped_frames = broker.stats().dropped_frames;
-    broker.shutdown();
-    p
 }
 
 fn main() {
@@ -316,67 +296,54 @@ fn main() {
     } else {
         &[(64, 2_000), (1_000, 128), (10_000, 16)]
     };
-    let (baseline_conns, baseline_events) = (64usize, if smoke { 400 } else { 2_000 });
 
     let mut points = Vec::new();
     for &(conns, events) in reactor_points {
-        let p = measure_reactor(conns, events);
+        let p = measure(conns, events);
         println!(
             "reactor   conns={:>6}  fanout {:>10.0} ev/s  threads+{}  {:>7.0} B/conn  drops={}",
             p.conns, p.fanout_eps, p.threads_delta_held, p.per_conn_rss, p.dropped_frames
         );
         points.push(p);
     }
-    let baseline = measure_threaded(baseline_conns, baseline_events);
-    println!(
-        "threaded  conns={:>6}  fanout {:>10.0} ev/s  threads+{}  {:>7.0} B/conn  drops={}",
-        baseline.conns,
-        baseline.fanout_eps,
-        baseline.threads_delta_held,
-        baseline.per_conn_rss,
-        baseline.dropped_frames
-    );
 
     let reactor_64 = &points[0];
-    let vs_threaded = reactor_64.fanout_eps / baseline.fanout_eps;
+    let vs_threaded = reactor_64.fanout_eps / THREADED_FANOUT_64;
     println!(
-        "reactor vs threaded at {baseline_conns} conns: {vs_threaded:.2}x \
-         (threads held: +{} vs +{})",
-        reactor_64.threads_delta_held, baseline.threads_delta_held
+        "reactor at {} conns vs recorded threaded fan-out ({THREADED_FANOUT_64:.0} ev/s): \
+         {vs_threaded:.2}x",
+        reactor_64.conns
     );
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"connection_scaling\",\n  \"unit\": \"deliveries_per_second\",\n",
-    );
-    let _ = writeln!(
-        json,
-        "  \"payload_bytes\": {PAYLOAD}, \"worker_threads\": {WORKERS}, \"smoke\": {smoke},"
-    );
-    let _ = writeln!(json, "  \"reactor_vs_threaded_64\": {vs_threaded:.3},");
-    json.push_str("  \"points\": [\n");
-    let all: Vec<&Point> = points.iter().chain(std::iter::once(&baseline)).collect();
-    for (i, p) in all.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"transport\": \"{}\", \"conns\": {}, \"events\": {}, \"deliveries\": {}, \
-             \"elapsed_s\": {:.3}, \"fanout_eps\": {:.1}, \"broker_threads\": {}, \
-             \"threads_delta_held\": {}, \"per_conn_rss_bytes\": {:.1}, \"dropped_frames\": {}}}{}",
-            p.transport,
-            p.conns,
-            p.events,
-            p.deliveries,
-            p.elapsed,
-            p.fanout_eps,
-            p.broker_threads,
-            p.threads_delta_held,
-            p.per_conn_rss,
-            p.dropped_frames,
-            if i + 1 < all.len() { "," } else { "" }
+    let doc = Json::obj()
+        .field("bench", Json::str("connection_scaling"))
+        .field("unit", Json::str("deliveries_per_second"))
+        .field("payload_bytes", Json::Int(PAYLOAD as u64))
+        .field("worker_threads", Json::Int(WORKERS as u64))
+        .field("smoke", Json::Bool(smoke))
+        .field("threaded_fanout_64_recorded", Json::f1(THREADED_FANOUT_64))
+        .field("reactor_vs_threaded_64", Json::Float(vs_threaded, 3))
+        .field(
+            "points",
+            Json::Arr(
+                points
+                    .iter()
+                    .map(|p| {
+                        Json::obj()
+                            .field("conns", Json::Int(p.conns as u64))
+                            .field("events", Json::Int(p.events as u64))
+                            .field("deliveries", Json::Int(p.deliveries))
+                            .field("elapsed_s", Json::Float(p.elapsed, 3))
+                            .field("fanout_eps", Json::f1(p.fanout_eps))
+                            .field("broker_threads", Json::Int(p.broker_threads as u64))
+                            .field("threads_delta_held", Json::Int(p.threads_delta_held))
+                            .field("per_conn_rss_bytes", Json::f1(p.per_conn_rss))
+                            .field("dropped_frames", Json::Int(p.dropped_frames))
+                    })
+                    .collect(),
+            ),
         );
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_connections.json", &json).expect("write BENCH_connections.json");
-    println!("wrote BENCH_connections.json");
+    write_bench_json("BENCH_connections.json", &doc);
 
     // The reactor's contract, asserted at every scale (including smoke):
     // broker-side threads never scale with connections...
@@ -413,7 +380,8 @@ fn main() {
     }
     assert!(
         vs_threaded >= 0.9,
-        "reactor fan-out must at least match the threaded baseline at \
-         {baseline_conns} conns, got {vs_threaded:.2}x"
+        "reactor fan-out at {} conns must be >= 0.9x the recorded threaded \
+         figure ({THREADED_FANOUT_64:.0} ev/s), got {vs_threaded:.2}x",
+        reactor_64.conns
     );
 }

@@ -4,16 +4,27 @@
 //! and `matching_peers_linear` (the original O(n) reference) over tables
 //! of {100, 1k, 10k, 100k, 1M} subscriptions, reports events/second for
 //! both, and writes machine-readable results to `BENCH_matching.json`
-//! in the current directory. The arena-vs-legacy *layout* comparison at
-//! 1M lives in `e2e_scaling` (`index_rework` section); this bin tracks
-//! the indexed-vs-linear algorithmic gap.
+//! in the current directory. The floors on the indexed-vs-linear gap
+//! (at 10k and 1M subscriptions) are the regression gates for the
+//! `MatchIndex` fast path.
 
-use psguard_bench::support::{measure, write_bench_json, Json};
+use psguard_bench::support::{measure, write_bench_json, Json, Measured};
 use psguard_model::{Constraint, Event, Filter, IntRange, Op};
 use psguard_siena::{Peer, SubscriptionTable};
 
 const TOPICS: usize = 64;
 const SIZES: [usize; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
+/// Indexed-vs-linear floor at 1M subscriptions. The committed
+/// `BENCH_matching.json` records 79.3x; three full single-round runs on
+/// a 2-core host measured 63.5x, 69.2x and 71.4x. The floor is the
+/// lowest of those, rounded down to a multiple of 5.
+const FLOOR_1M: f64 = 60.0;
+/// Back-to-back (indexed, linear) measurement rounds per size. Each row
+/// keeps the round with the median speedup, so a burst of host load
+/// that lands in one sampling window cannot move the gated ratio. With
+/// one round the 1M ratio ranged 54x–98x over nine runs of the same
+/// index on the host above; with five it ranged 67.9x–71.5x over six.
+const ROUNDS: usize = 5;
 
 fn build_table(subscriptions: usize) -> SubscriptionTable<Filter> {
     let mut table = SubscriptionTable::new();
@@ -53,20 +64,30 @@ fn main() {
     for n in SIZES {
         let mut table = build_table(n);
 
-        // 200 ms of wall time per cell keeps even the largest tables
-        // above a few dozen samples (a 50 ms floor made the 100k cell
-        // jitter run-to-run); the iteration counts land in the JSON so
-        // a reader can judge each number's stability.
-        let indexed = measure(64, 1_000, 200, |i| {
-            std::hint::black_box(table.matching_peers(&evs[i % evs.len()]));
-        });
-        let indexed_work = table.last_match_work();
+        let mut indexed_work = 0;
+        let mut rounds: Vec<(Measured, Measured)> = (0..ROUNDS)
+            .map(|_| {
+                // 200 ms of wall time per cell keeps even the largest
+                // tables above a few dozen samples (a 50 ms floor made
+                // the 100k cell jitter run-to-run); the iteration counts
+                // land in the JSON so a reader can judge each number's
+                // stability.
+                let indexed = measure(64, 1_000, 200, |i| {
+                    std::hint::black_box(table.matching_peers(&evs[i % evs.len()]));
+                });
+                indexed_work = table.last_match_work();
 
-        // The linear reference needs far fewer iterations at large n.
-        let min_iters = (1_000_000 / n).max(8);
-        let linear = measure(min_iters.min(64), min_iters, 200, |i| {
-            std::hint::black_box(table.matching_peers_linear(&evs[i % evs.len()]));
-        });
+                // The linear reference needs far fewer iterations at
+                // large n.
+                let min_iters = (1_000_000 / n).max(8);
+                let linear = measure(min_iters.min(64), min_iters, 200, |i| {
+                    std::hint::black_box(table.matching_peers_linear(&evs[i % evs.len()]));
+                });
+                (indexed, linear)
+            })
+            .collect();
+        rounds.sort_by(|a, b| (a.0.per_sec / a.1.per_sec).total_cmp(&(b.0.per_sec / b.1.per_sec)));
+        let (indexed, linear) = rounds[ROUNDS / 2];
 
         println!(
             "n={n:>7}  indexed {:>12.0} ev/s ({} iters)  linear {:>12.0} ev/s ({} iters)  speedup {:>7.1}x  work/event {indexed_work}",
@@ -124,7 +145,7 @@ fn main() {
         .expect("1M row");
     let speedup_1m = at_1m.indexed_eps / at_1m.linear_eps;
     assert!(
-        speedup_1m >= 50.0,
-        "indexed path must be >= 50x the linear scan at 1M subscriptions, got {speedup_1m:.1}x"
+        speedup_1m >= FLOOR_1M,
+        "indexed path must be >= {FLOOR_1M}x the linear scan at 1M subscriptions, got {speedup_1m:.1}x"
     );
 }

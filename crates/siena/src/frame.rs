@@ -142,7 +142,7 @@ impl FramePool {
         self.inner.frames_encoded.fetch_add(1, Ordering::Relaxed);
         Arc::new(Frame {
             buf,
-            pool: Some(self.inner.clone()),
+            pool: self.inner.clone(),
         })
     }
 
@@ -167,7 +167,7 @@ impl FramePool {
 #[derive(Debug)]
 pub struct Frame {
     buf: Vec<u8>,
-    pool: Option<Arc<PoolInner>>,
+    pool: Arc<PoolInner>,
 }
 
 /// A reference-counted frame shared across per-connection writer queues:
@@ -175,21 +175,6 @@ pub struct Frame {
 pub type SharedFrame = Arc<Frame>;
 
 impl Frame {
-    /// The zero-length sentinel used by writer queues to request
-    /// shutdown; carries no bytes and belongs to no pool.
-    pub fn sentinel() -> SharedFrame {
-        Arc::new(Frame {
-            buf: Vec::new(),
-            pool: None,
-        })
-    }
-
-    /// True for the shutdown sentinel (no wire bytes at all — a real
-    /// frame always carries at least its 4-byte prefix).
-    pub fn is_sentinel(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The full on-socket bytes: length prefix followed by payload.
     pub fn wire_bytes(&self) -> &[u8] {
         &self.buf
@@ -214,9 +199,7 @@ impl Frame {
 
 impl Drop for Frame {
     fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.give_back(std::mem::take(&mut self.buf));
-        }
+        self.pool.give_back(std::mem::take(&mut self.buf));
     }
 }
 
@@ -268,8 +251,7 @@ impl FrameWriteCursor {
     /// byte count of that single attempt; callers decide whether to loop
     /// (blocking writers) or yield until the next readiness event
     /// (`WouldBlock` from a nonblocking socket propagates unchanged).
-    ///
-    /// Zero-length frames (queue sentinels) are skipped.
+    /// Returns `Ok(0)` only when the whole batch is already written.
     ///
     /// # Errors
     ///
@@ -280,8 +262,8 @@ impl FrameWriteCursor {
         w: &mut W,
         frames: &[SharedFrame],
     ) -> std::io::Result<usize> {
-        // Skip sentinels / already-consumed frames so the slice window
-        // below always starts at real bytes.
+        // Skip already-written frames so the slice window below always
+        // starts at unwritten bytes.
         while frames
             .get(self.idx)
             .is_some_and(|f| f.wire_bytes().len() <= self.off)
@@ -340,9 +322,7 @@ impl FrameWriteCursor {
 pub fn write_frames<W: Write>(w: &mut W, frames: &[SharedFrame]) -> std::io::Result<()> {
     let mut cursor = FrameWriteCursor::new();
     while !cursor.done(frames) {
-        if cursor.write_step(w, frames)? == 0 {
-            break; // only sentinels remained
-        }
+        cursor.write_step(w, frames)?;
     }
     w.flush()
 }
@@ -623,34 +603,26 @@ mod tests {
     }
 
     #[test]
-    fn cursor_skips_sentinels_and_reports_done() {
+    fn cursor_skips_written_frames_and_reports_done() {
         let pool = FramePool::new();
-        let frames = vec![
-            Frame::sentinel(),
-            pool.encode(&publish(vec![1u8; 8])),
-            Frame::sentinel(),
-        ];
+        let frames: Vec<SharedFrame> = (0..3)
+            .map(|i| pool.encode(&publish(vec![i as u8; 8])))
+            .collect();
         let mut w = CountingWriter::default();
         let mut cursor = FrameWriteCursor::new();
         while !cursor.done(&frames) {
-            if cursor.write_step(&mut w, &frames).unwrap() == 0 {
-                break;
-            }
+            assert!(cursor.write_step(&mut w, &frames).unwrap() > 0);
         }
+        assert_eq!(cursor.frames_done(), frames.len());
+        // A finished cursor writes nothing more.
+        assert_eq!(cursor.write_step(&mut w, &frames).unwrap(), 0);
         let mut c = std::io::Cursor::new(w.bytes);
-        assert_eq!(read_frame(&mut c).unwrap(), frames[1].payload());
-        // An all-sentinel batch writes nothing and terminates.
-        let sentinels = vec![Frame::sentinel(), Frame::sentinel()];
+        for f in &frames {
+            assert_eq!(read_frame(&mut c).unwrap(), f.payload());
+        }
+        // An empty batch is done from the start and writes nothing.
         let mut w = CountingWriter::default();
-        write_frames(&mut w, &sentinels).unwrap();
+        write_frames(&mut w, &[]).unwrap();
         assert!(w.bytes.is_empty());
-    }
-
-    #[test]
-    fn sentinel_is_empty_and_poolless() {
-        let s = Frame::sentinel();
-        assert!(s.is_sentinel());
-        assert!(s.wire_bytes().is_empty());
-        assert!(s.payload().is_empty());
     }
 }

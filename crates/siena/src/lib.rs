@@ -41,14 +41,12 @@ mod error;
 mod fault;
 mod frame;
 mod index;
-mod index_legacy;
 pub mod log;
 mod pipeline;
 pub mod reactor;
 mod semantics;
 mod table;
 mod tcp;
-pub mod threaded;
 pub mod wire;
 
 pub use broker::{Action, Broker, BrokerStats};
@@ -59,7 +57,6 @@ pub use fault::{
 };
 pub use frame::{write_frames, Frame, FramePool, FramePoolStats, FrameWriteCursor, SharedFrame};
 pub use index::{EntryId, IndexableFilter, KeyQuery, MatchIndex, MatchStats};
-pub use index_legacy::LegacyMatchIndex;
 pub use log::{
     Cursor, EventLog, LogConfig, LogError, LogStats, RecoveryReport, ReplayCursor, ResumeOutcome,
 };
@@ -70,8 +67,5 @@ pub use table::{Peer, SubscriptionTable};
 pub use tcp::{
     spawn_broker, spawn_broker_durable, spawn_broker_with, OverflowPolicy, TcpBroker, TcpClient,
     TcpConfig, TcpStats,
-};
-pub use threaded::{
-    spawn_threaded_broker, spawn_threaded_broker_with, ThreadedBroker, ThreadedClient,
 };
 pub use wire::{Message, Wire, WireError};

@@ -1,13 +1,12 @@
 //! The reactor-backed client: many broker connections on one thread.
 //!
 //! A [`ClientReactor`] owns a single I/O thread hosting any number of
-//! client connections as nonblocking state machines — versus the
-//! threaded transport's supervisor + per-epoch reader pair *per
-//! client*. [`TcpClient`] (the default, drop-in handle) bundles a
-//! private reactor with one connection: one thread per client instead
-//! of three. Scale tests and benches instead share one reactor across
-//! hundreds of clients, which is how a single process holds thousands
-//! of subscriber connections with a flat thread count.
+//! client connections as nonblocking state machines, rather than a
+//! supervisor + per-epoch reader thread pair *per client*. [`TcpClient`]
+//! (the default handle) bundles a private reactor with one connection:
+//! one thread per client. Scale tests and benches instead share one
+//! reactor across hundreds of clients, which is how a single process
+//! holds thousands of subscriber connections with a flat thread count.
 //!
 //! All PR2 resilience behaviour moves from dedicated threads into the
 //! reactor's timer wheel: heartbeats are appended to the in-flight
@@ -15,8 +14,7 @@
 //! deterministic jitter and replay remembered subscriptions, and — new
 //! with the reactor — a client that hears *nothing* from its broker for
 //! `heartbeat_interval × heartbeat_miss_limit` proactively abandons the
-//! socket and reconnects (the threaded client only noticed death via
-//! socket errors).
+//! socket and reconnects instead of waiting for a socket error.
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,8 +41,7 @@ const SCRATCH_BYTES: usize = 64 * 1024;
 /// Bound on the best-effort final drain at shutdown.
 const SHUTDOWN_FLUSH_ROUNDS: usize = 100;
 
-/// Delivered-event channel capacity per connection (same bound as the
-/// threaded client).
+/// Delivered-event channel capacity per connection.
 const EVENT_CHANNEL_CAP: usize = 4096;
 
 /// Sequence numbers the client-side dedup window remembers. Bounds the
@@ -397,9 +394,7 @@ impl<F: FilterSemantics> Drop for ReactorClient<F> {
 }
 
 /// The default TCP client: a [`ReactorClient`] bundled with a private
-/// single-connection [`ClientReactor`] — one OS thread per client
-/// (the threaded baseline costs three). Drop-in replacement for the
-/// threaded client's API.
+/// single-connection [`ClientReactor`] — one OS thread per client.
 pub struct TcpClient<F: FilterSemantics> {
     // Declaration order matters: the connection handle must drop (and
     // close its queue) before the reactor joins its thread.

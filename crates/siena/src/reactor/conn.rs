@@ -58,8 +58,7 @@ struct OutInner {
 /// reactor worker. Frames are `Arc` clones — enqueueing never copies
 /// bytes. Closing the queue is the reactor's flush-then-close signal:
 /// already-queued frames still drain, after which the worker finishes
-/// the connection (this replaces the threaded transport's sentinel
-/// frame).
+/// the connection.
 #[derive(Debug)]
 pub(crate) struct OutQueue {
     inner: Mutex<OutInner>,
@@ -242,7 +241,7 @@ impl Conn {
                 }
             }
             match self.wcur.write_step(&mut self.stream, &self.wbatch) {
-                Ok(0) => {} // batch was all sentinels; refill
+                Ok(0) => {} // batch already fully written; refill
                 Ok(_) => progress = true,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     return (progress, ConnStatus::Open);

@@ -1,10 +1,9 @@
 //! Readiness-driven TCP transport: the C10K event loop.
 //!
-//! This module replaces the thread-per-connection transport (retained
-//! as [`crate::threaded`]) with a reactor: sockets are nonblocking,
-//! readiness comes from a pluggable [`Poller`], and a *fixed* worker
-//! pool drives every connection's read/decode/match/write state
-//! machine. The broker's thread count and per-connection memory are
+//! The transport is a reactor rather than thread-per-connection:
+//! sockets are nonblocking, readiness comes from a pluggable
+//! [`Poller`], and a *fixed* worker pool drives every connection's
+//! read/decode/match/write state machine. The broker's thread count and per-connection memory are
 //! decided at spawn time and stay flat as connections grow from tens to
 //! tens of thousands; the client side packs any number of connections
 //! onto a single reactor thread.
@@ -23,7 +22,7 @@
 //!
 //! See DESIGN.md §15 for the architecture walk-through and the
 //! `connection_scaling` bench for the measured flat-thread/flat-memory
-//! behaviour against the threaded baseline.
+//! behaviour.
 
 mod broker;
 mod client;

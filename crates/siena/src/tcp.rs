@@ -1,20 +1,14 @@
 //! Shared TCP transport surface: tuning knobs, counters, and the
-//! default (reactor-backed) broker/client entry points.
+//! reactor-backed broker/client entry points.
 //!
-//! Two interchangeable transports implement the same framed protocol:
+//! The transport is [`crate::reactor`], a readiness-driven event loop:
+//! nonblocking sockets polled by a [`Poller`](crate::Poller), a fixed
+//! worker pool (N ≈ cores) driving per-connection read/decode/write
+//! state machines. Thread count and per-connection memory stay flat as
+//! connections grow (the C10K path). [`spawn_broker`] / [`TcpClient`]
+//! are re-exported here.
 //!
-//! * [`crate::reactor`] — the default. A readiness-driven event loop:
-//!   nonblocking sockets polled by a [`Poller`](crate::Poller), a fixed
-//!   worker pool (N ≈ cores) driving per-connection read/decode/write
-//!   state machines. Thread count and per-connection memory stay flat as
-//!   connections grow (the C10K path). [`spawn_broker`] / [`TcpClient`]
-//!   re-exported here are this transport.
-//! * [`crate::threaded`] — the thread-per-connection baseline (2 OS
-//!   threads per broker peer, 2 per client). Retained for comparison
-//!   benchmarks and as a reference implementation of the protocol
-//!   semantics.
-//!
-//! Protocol behaviour is identical across both and hardened for failure:
+//! The framed protocol is hardened for failure:
 //!
 //! * **Bounded outbound queues** — every per-connection queue holds at
 //!   most [`TcpConfig::queue_capacity`] frames. The broker never blocks
@@ -45,7 +39,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-// The default transport: reactor-backed broker and client.
+// The reactor-backed broker and client.
 pub use crate::reactor::{
     spawn_broker, spawn_broker_durable, spawn_broker_with, TcpBroker, TcpClient,
 };
@@ -60,21 +54,11 @@ pub enum OverflowPolicy {
     DropNewest,
 }
 
-/// Transport tuning knobs, shared by brokers and clients (and by both
-/// the reactor and thread-per-connection transports).
+/// Transport tuning knobs, shared by brokers and clients.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TcpConfig {
     /// Deadline for establishing a TCP connection.
     pub connect_timeout: Duration,
-    /// Socket read timeout — in the threaded transport, the granularity
-    /// at which reader threads notice shutdown. The reactor uses
-    /// nonblocking reads and treats this only as a lower bound on its
-    /// idle poll latency.
-    pub read_timeout: Duration,
-    /// Socket write timeout (threaded transport): a peer that stops
-    /// draining its socket for this long is treated as dead. The reactor
-    /// relies on bounded queues plus heartbeat eviction instead.
-    pub write_timeout: Duration,
     /// Capacity of each bounded outbound frame queue.
     pub queue_capacity: usize,
     /// Client-side policy when the outbound queue is full (the broker
@@ -98,8 +82,7 @@ pub struct TcpConfig {
     pub jitter_seed: u64,
     /// Reactor broker worker-pool size. `0` (the default) resolves to
     /// the number of available CPU cores, clamped to
-    /// [`MAX_WORKERS`](crate::reactor::MAX_WORKERS). Ignored by the
-    /// threaded transport.
+    /// [`MAX_WORKERS`](crate::reactor::MAX_WORKERS).
     pub worker_threads: usize,
 }
 
@@ -107,8 +90,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             connect_timeout: Duration::from_secs(3),
-            read_timeout: Duration::from_millis(200),
-            write_timeout: Duration::from_secs(5),
             queue_capacity: 1024,
             overflow: OverflowPolicy::Block,
             heartbeat_interval: Duration::from_millis(500),

@@ -1,12 +1,13 @@
 //! Property tests pinning the `MatchIndex` fast path to the linear-scan
 //! reference: for any table built from random subscriptions (with churn),
 //! `matching_peers` must return exactly what the original O(n) scan
-//! returns, in the same order, and `insert`'s covering verdict must agree
-//! with the brute-force covering test.
+//! returns, in the same order, `MatchIndex` must hand out and recycle
+//! entry ids exactly as a LIFO free list does, and `insert`'s covering
+//! verdict must agree with the brute-force covering test.
 
 use proptest::prelude::*;
 use psguard_model::{AttrValue, Constraint, Event, Filter, IntRange, Op};
-use psguard_siena::{LegacyMatchIndex, MatchIndex, Peer, SubscriptionTable};
+use psguard_siena::{EntryId, MatchIndex, Peer, SubscriptionTable};
 
 fn op_strategy() -> BoxedStrategy<Op> {
     prop_oneof![
@@ -65,6 +66,47 @@ fn event_strategy() -> BoxedStrategy<Event> {
         .boxed()
 }
 
+/// Linear-scan model of `MatchIndex`: live entries in registration
+/// (seq) order, and the entry free list as a stack.
+#[derive(Default)]
+struct Mirror {
+    /// `(id, peer, filter)` in seq order; a reinsert gets a fresh seq,
+    /// so it is appended.
+    live: Vec<(EntryId, Peer, Filter)>,
+    /// Freed ids; the next insert reuses the most recently freed one.
+    free: Vec<EntryId>,
+    /// First id never handed out.
+    next_id: EntryId,
+}
+
+impl Mirror {
+    fn insert(&mut self, peer: Peer, filter: Filter) -> EntryId {
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.next_id += 1;
+            self.next_id - 1
+        });
+        self.live.push((id, peer, filter));
+        id
+    }
+
+    fn remove(&mut self, id: EntryId) {
+        let pos = self.live.iter().position(|e| e.0 == id).expect("live id");
+        self.live.remove(pos);
+        self.free.push(id);
+    }
+
+    /// Distinct matching peers, deduped by first occurrence in seq order.
+    fn query(&self, event: &Event) -> Vec<Peer> {
+        let mut peers = Vec::new();
+        for (_, peer, filter) in &self.live {
+            if filter.matches(event) && !peers.contains(peer) {
+                peers.push(*peer);
+            }
+        }
+        peers
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
@@ -120,15 +162,15 @@ proptest! {
         }
     }
 
-    /// The arena layout against two oracles at once: the frozen
-    /// pre-rework `LegacyMatchIndex` (identical operation sequence, so
-    /// results must be bit-identical, order included) and a brute-force
-    /// linear scan over the live mirror. Churn + reinsertion exercises
-    /// the entry free list, chunk recycling and boundary-range reuse;
-    /// starting the generation counter near `u32::MAX` drives the stamp
-    /// wraparound sweep mid-sequence.
+    /// The arena layout against the linear-scan [`Mirror`]: `query`
+    /// must return the mirror's peers in exact first-seen registration
+    /// order, and every `insert` must return the id the mirror's LIFO
+    /// free list predicts. Churn + reinsertion exercises the entry free
+    /// list, chunk recycling and boundary-range reuse; starting the
+    /// generation counter near `u32::MAX` drives the stamp wraparound
+    /// sweep mid-sequence.
     #[test]
-    fn arena_index_agrees_with_legacy_and_linear_oracle(
+    fn arena_index_agrees_with_linear_oracle(
         subs in prop::collection::vec((0u32..6, filter_strategy()), 1..40),
         removal_mask in any::<u64>(),
         near_wraparound in any::<bool>(),
@@ -139,52 +181,34 @@ proptest! {
             // Few enough queries remain that the run crosses the wrap.
             arena.set_generation_for_tests(u32::MAX - 2);
         }
-        let mut legacy: LegacyMatchIndex<Filter> = LegacyMatchIndex::new();
-        // Mirror: (seq, peer, filter, live) in insertion order.
-        let mut mirror: Vec<(Peer, Filter, bool)> = Vec::new();
+        let mut mirror = Mirror::default();
         let mut ids = Vec::new();
         for (peer, filter) in &subs {
             let peer = Peer::Child(*peer);
-            let a = arena.insert(peer, filter.clone());
-            let l = legacy.insert(peer, filter.clone());
-            prop_assert_eq!(a, l, "entry ids must track (free lists in sync)");
-            ids.push(a);
-            mirror.push((peer, filter.clone(), true));
+            let id = arena.insert(peer, filter.clone());
+            prop_assert_eq!(id, mirror.insert(peer, filter.clone()), "fresh id");
+            ids.push(id);
         }
+        let mut removed = Vec::new();
         for (i, &id) in ids.iter().enumerate() {
             if removal_mask >> (i % 64) & 1 == 1 {
                 arena.remove(id);
-                legacy.remove(id);
-                mirror[i].2 = false;
-            }
-        }
-        // Reinsert the removed half: both layouts must recycle their
-        // freed slots the same way.
-        for (i, (peer, filter, live)) in mirror.clone().iter().enumerate() {
-            if !live {
-                let a = arena.insert(*peer, filter.clone());
-                let l = legacy.insert(*peer, filter.clone());
-                prop_assert_eq!(a, l, "reused ids must track");
-                mirror[i].2 = true; // same filter is live again (new seq)
+                mirror.remove(id);
+                removed.push(i);
             }
         }
         for event in &events {
-            let fast = arena.query(event);
-            let frozen = legacy.query(event);
-            prop_assert_eq!(&fast, &frozen, "arena vs frozen layout");
-            // The linear oracle loses the exact seq order for reinserted
-            // entries (and `query` dedups peers), so compare as sorted
-            // distinct-peer sets.
-            let mut oracle: Vec<Peer> = mirror
-                .iter()
-                .filter(|(_, f, live)| *live && f.matches(event))
-                .map(|(p, _, _)| *p)
-                .collect();
-            let mut fast_sorted = fast;
-            fast_sorted.sort_unstable();
-            oracle.sort_unstable();
-            oracle.dedup();
-            prop_assert_eq!(fast_sorted, oracle, "arena vs linear oracle");
+            prop_assert_eq!(arena.query(event), mirror.query(event), "after removals");
+        }
+        // Reinsert the removed entries: each must land in the most
+        // recently freed slot and match after every earlier entry.
+        for i in removed {
+            let (peer, filter) = (Peer::Child(subs[i].0), subs[i].1.clone());
+            let id = arena.insert(peer, filter.clone());
+            prop_assert_eq!(id, mirror.insert(peer, filter), "recycled id");
+        }
+        for event in &events {
+            prop_assert_eq!(arena.query(event), mirror.query(event), "after reinsertion");
         }
     }
 

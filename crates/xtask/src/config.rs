@@ -160,12 +160,9 @@ pub struct ScopedRule {
 ///   conversions are banned. See DESIGN.md §14. The arena `MatchIndex`
 ///   and the sharded pipeline (DESIGN.md §18) are in scope too: a
 ///   steady-state query must reuse its scratch, not re-collect.
-///   `index_legacy.rs` is deliberately *out* of scope — it is the
-///   frozen pre-rework layout kept as the measured baseline.
 /// * `thread-per-connection` — the reactor transport's contract is a
 ///   *fixed* thread count; an unmarked `thread::spawn` is a regression
-///   back toward thread-per-connection. `threaded.rs` is deliberately
-///   out of scope: it is the retained thread-per-connection baseline.
+///   back toward thread-per-connection.
 /// * `ciphertext-at-rest` — the durable event log stores already-encoded
 ///   opaque bytes; naming the plaintext model there means structured
 ///   plaintext is being (de)serialized onto the disk path.
@@ -189,7 +186,6 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
         rule: "hot-path-alloc",
         paths: &[
             "crates/siena/src/tcp.rs",
-            "crates/siena/src/threaded.rs",
             "crates/siena/src/reactor/",
             "crates/siena/src/index.rs",
             "crates/siena/src/pipeline.rs",
@@ -208,7 +204,6 @@ pub const SCOPED_RULES: &[ScopedRule] = &[
         paths: &[
             "crates/siena/src/tcp.rs",
             "crates/siena/src/wire.rs",
-            "crates/siena/src/threaded.rs",
             "crates/siena/src/reactor/",
             "crates/siena/src/log/",
         ],
@@ -371,15 +366,13 @@ mod tests {
         assert!(determinism_scope_contains("crates/siena/src/fault.rs"));
         assert!(!determinism_scope_contains("crates/siena/src/tcp.rs"));
         assert!(hot_path_contains("crates/siena/src/tcp.rs"));
-        assert!(hot_path_contains("crates/siena/src/threaded.rs"));
         assert!(hot_path_contains("crates/siena/src/reactor/broker.rs"));
         assert!(hot_path_contains("crates/siena/src/index.rs"));
         assert!(hot_path_contains("crates/siena/src/pipeline.rs"));
-        assert!(!hot_path_contains("crates/siena/src/index_legacy.rs"));
         assert!(!hot_path_contains("crates/siena/src/wire.rs"));
         assert!(spawn_scope_contains("crates/siena/src/reactor/client.rs"));
         assert!(spawn_scope_contains("crates/siena/src/tcp.rs"));
-        assert!(!spawn_scope_contains("crates/siena/src/threaded.rs"));
+        assert!(!spawn_scope_contains("crates/siena/src/wire.rs"));
         assert!(ciphertext_scope_contains("crates/siena/src/log/mod.rs"));
         assert!(ciphertext_scope_contains("crates/siena/src/log/segment.rs"));
         assert!(!ciphertext_scope_contains("crates/siena/src/wire.rs"));

@@ -626,9 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn spawn_in_threaded_baseline_is_out_of_scope() {
+    fn spawn_outside_transport_scope_is_not_flagged() {
         let f = scan(
-            "crates/siena/src/threaded.rs",
+            "crates/siena/src/wire.rs",
             "fn reader(s: TcpStream) { std::thread::spawn(move || pump(s)); }\n",
         );
         assert!(f.is_empty(), "{f:?}");

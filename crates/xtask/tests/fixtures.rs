@@ -207,10 +207,10 @@ fn thread_per_connection_passes_clean_snippet() {
 }
 
 #[test]
-fn thread_per_connection_exempts_threaded_baseline() {
-    // threaded.rs is the retained thread-per-connection baseline; its
-    // spawns are the documented design, not a regression.
-    let findings = scan("crates/siena/src/threaded.rs", "spawn_violation.rs");
+fn thread_per_connection_ignores_out_of_scope_file() {
+    // The rule covers the transport only; the same spawns in a file
+    // outside its scope are not findings.
+    let findings = scan("crates/siena/src/wire.rs", "spawn_violation.rs");
     let spawns: Vec<_> = findings
         .iter()
         .filter(|f| f.rule == Rule::ThreadPerConnection)

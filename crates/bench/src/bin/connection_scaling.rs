@@ -18,7 +18,7 @@
 //! Writes machine-readable results to `BENCH_connections.json` in the
 //! current directory. Pass `--smoke` for a seconds-long CI variant that
 //! still asserts the flat-thread and flat-memory invariants at reduced
-//! scale.
+//! scale and writes to `target/bench-smoke/`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::SocketAddr;

@@ -1,10 +1,14 @@
-//! Overhead of the fault-injection layer when no faults are configured.
+//! Cost of the overlay's zero-fault path.
 //!
-//! `Engine::run_faulty` with `FaultConfig::none` must be behaviorally
-//! identical to `Engine::run` and nearly free: the acceptance bound is
-//! ≤ 5% wall-clock overhead (median over repeated runs). Also records a
-//! lossy-with-recovery run for context. Results go to `BENCH_fault.json`
-//! in the current directory.
+//! `Engine::run` is the `run_faulty` event loop under
+//! `FaultConfig::none`, so the two can no longer be timed against each
+//! other. Instead the zero-fault median is held to at most 1.05x the
+//! `Engine::run` median of the earlier two-loop engine on the same
+//! workload (`TWO_LOOP_RUN_MS_MEDIAN`). Also records a
+//! lossy-with-recovery run for context. Results go to
+//! `BENCH_fault.json` in the current directory; `--smoke` runs three
+//! repeats, skips the wall-clock bound and writes to
+//! `target/bench-smoke/`.
 
 use std::time::Instant;
 
@@ -17,7 +21,14 @@ const BROKERS: u32 = 14;
 const SUBSCRIBERS: u32 = 16;
 const RATE_EPS: f64 = 1_000.0;
 const DURATION_S: f64 = 2.0;
-const REPEATS: usize = 11;
+/// Median `Engine::run` wall time (ms) of the two-loop engine on this
+/// workload: the median of 14 invocations of this bin at that revision,
+/// each the median of 11 runs, on a 2-vCPU Intel Xeon VM (invocations
+/// ranged 24.2–41.2 ms). The bound only means something on comparable
+/// hardware, so it is asserted in full mode only.
+const TWO_LOOP_RUN_MS_MEDIAN: f64 = 26.5;
+/// The zero-fault path may cost at most this multiple of the reference.
+const ZERO_FAULT_CEILING: f64 = 1.05;
 
 fn engine() -> Engine<Filter> {
     let mut eng = Engine::new(EngineConfig {
@@ -48,38 +59,23 @@ fn median(samples: &mut [f64]) -> f64 {
 }
 
 fn main() {
+    let smoke = std::env::args().any(|a| a == "--smoke");
+    let repeats = if smoke { 3 } else { 31 };
     let events = workload();
     let cost = CostModel::plain();
     let mut eng = engine();
 
-    // Interleave the two variants so drift (frequency scaling, cache
-    // state) hits both equally.
-    let mut plain_ms = Vec::with_capacity(REPEATS);
-    let mut faulty_ms = Vec::with_capacity(REPEATS);
-    let mut plain_delivered = 0u64;
-    let mut faulty_delivered = 0u64;
-    for _ in 0..REPEATS {
+    let mut run_ms = Vec::with_capacity(repeats);
+    let mut delivered = 0;
+    for _ in 0..repeats {
         let start = Instant::now();
-        let p = eng.run(&events, RATE_EPS, DURATION_S, &cost);
-        plain_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        plain_delivered = p.delivered;
-
-        let mut cfg = FaultConfig::none(7);
-        let start = Instant::now();
-        let f = eng.run_faulty(&events, RATE_EPS, DURATION_S, &cost, &mut cfg);
-        faulty_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        faulty_delivered = f.delivered;
+        delivered = eng.run(&events, RATE_EPS, DURATION_S, &cost).delivered;
+        run_ms.push(start.elapsed().as_secs_f64() * 1e3);
     }
-    assert_eq!(
-        plain_delivered, faulty_delivered,
-        "zero-fault run_faulty must deliver exactly what run delivers"
-    );
-
-    let plain = median(&mut plain_ms);
-    let faulty = median(&mut faulty_ms);
-    let overhead_pct = (faulty - plain) / plain * 100.0;
+    let zero_fault = median(&mut run_ms);
+    let ratio = zero_fault / TWO_LOOP_RUN_MS_MEDIAN;
     println!(
-        "zero-fault overhead: run {plain:.2} ms vs run_faulty {faulty:.2} ms  ({overhead_pct:+.2}%)"
+        "zero-fault run: {zero_fault:.2} ms median ({ratio:.3}x the two-loop reference {TWO_LOOP_RUN_MS_MEDIAN:.2} ms)"
     );
 
     // Context: the same workload over 20%-lossy links with recovery on.
@@ -112,15 +108,20 @@ fn main() {
                 .field("subscribers", Json::Int(SUBSCRIBERS as u64))
                 .field("rate_eps", Json::Float(RATE_EPS, 0))
                 .field("duration_s", Json::Float(DURATION_S, 0))
-                .field("repeats", Json::Int(REPEATS as u64)),
+                .field("repeats", Json::Int(repeats as u64)),
         )
+        .field("smoke", Json::Bool(smoke))
         .field(
             "zero_fault",
             Json::obj()
-                .field("run_ms_median", Json::Float(plain, 3))
-                .field("run_faulty_ms_median", Json::Float(faulty, 3))
-                .field("overhead_pct", Json::Float(overhead_pct, 3))
-                .field("delivered", Json::Int(faulty_delivered)),
+                .field("run_ms_median", Json::Float(zero_fault, 3))
+                .field(
+                    "two_loop_run_ms_median",
+                    Json::Float(TWO_LOOP_RUN_MS_MEDIAN, 3),
+                )
+                .field("ratio", Json::Float(ratio, 3))
+                .field("ceiling", Json::Float(ZERO_FAULT_CEILING, 2))
+                .field("delivered", Json::Int(delivered)),
         )
         .field(
             "lossy_with_recovery",
@@ -141,8 +142,13 @@ fn main() {
         );
     write_bench_json("BENCH_fault.json", &doc);
 
+    if smoke {
+        println!("smoke mode: skipping the zero-fault wall-clock bound");
+        return;
+    }
     assert!(
-        overhead_pct <= 5.0,
-        "zero-fault path must cost <= 5% over Engine::run, got {overhead_pct:.2}%"
+        ratio <= ZERO_FAULT_CEILING,
+        "zero-fault path must cost <= {ZERO_FAULT_CEILING}x the two-loop run \
+         ({TWO_LOOP_RUN_MS_MEDIAN} ms), got {zero_fault:.2} ms ({ratio:.3}x)"
     );
 }

@@ -3,14 +3,16 @@
 //! Routes pools of secure (tokenized) events through tables of
 //! {100, 1k, 10k, 100k} subscriptions, comparing the serial
 //! `Broker::publish` loop (one cloned delivery per recipient) against
-//! `ShardedPipeline::publish_batch` with {1, 2, 4, 8} shards (prepared
-//! PRF probe contexts, reused scratch, clone-free `BatchDeliveries`).
-//! Also microbenchmarks the PRF-verify fast path: one-shot `prf_verify`
-//! (re-deriving HMAC pads per probe) vs. a reusable `PrfContext`.
+//! `ShardedPipeline::publish_batch` with {1, 2, 4, 8} shards (reused
+//! scratch, clone-free `BatchDeliveries`, cross-shard parallelism). Both
+//! sides probe through the same per-bucket `PrfContext`s, so the ratio
+//! measures batching and sharding only. Also microbenchmarks the
+//! PRF-verify fast path: one-shot `prf_verify` (re-deriving HMAC pads
+//! per probe) vs. a reusable `PrfContext`.
 //!
 //! Writes machine-readable results to `BENCH_pipeline.json` in the
 //! current directory. Pass `--smoke` for a seconds-long CI variant that
-//! skips the throughput assertions.
+//! skips the throughput assertions and writes to `target/bench-smoke/`.
 
 use psguard_bench::support::{assert_floor, measure, write_bench_json, Json, Measured};
 use psguard_crypto::{prf, prf_verify, PrfContext, Token};

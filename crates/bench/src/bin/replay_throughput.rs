@@ -22,6 +22,7 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use psguard_bench::support::write_bench_file;
 use psguard_model::{Event, Filter};
 use psguard_siena::wire::Wire;
 use psguard_siena::{
@@ -300,8 +301,7 @@ fn main() {
         "  \"live\": {{\"baseline_eps\": {baseline_eps:.1}, \"during_replay_eps\": {during_eps:.1}, \"degradation\": {degradation:.4}}}"
     );
     json.push_str("}\n");
-    std::fs::write("BENCH_replay.json", &json).expect("write BENCH_replay.json");
-    println!("wrote BENCH_replay.json");
+    write_bench_file("BENCH_replay.json", smoke, &json);
 
     // Floors: replay must move real volume, recovery must scan at disk
     // speed (not per-record syscall speed), and live fan-out keeps at

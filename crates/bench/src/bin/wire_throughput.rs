@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use psguard_bench::support::write_bench_file;
 use psguard_model::{Event, Filter};
 use psguard_siena::wire::{Message, Wire};
 use psguard_siena::{write_frames, FramePool, SharedFrame};
@@ -232,8 +233,7 @@ fn main() {
         json,
         "  \"speedup\": {speedup:.2},\n  \"alloc_ratio\": {alloc_ratio:.1}\n}}"
     );
-    std::fs::write("BENCH_wire.json", &json).expect("write BENCH_wire.json");
-    println!("wrote BENCH_wire.json");
+    write_bench_file("BENCH_wire.json", smoke, &json);
 
     // Asserted in smoke mode too: CI fails when the fast path regresses.
     assert!(

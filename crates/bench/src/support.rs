@@ -9,7 +9,12 @@
 //! the `BENCH_*.json` files the CI publishes as artifacts.
 
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// Where `--smoke` runs write their artifacts, relative to the current
+/// directory: never next to the committed full-run `BENCH_*.json`.
+const SMOKE_DIR: &str = "target/bench-smoke";
 
 /// One measured cell: rate per second plus how many iterations the
 /// sampling window actually absorbed (landing the count in the JSON
@@ -99,6 +104,12 @@ impl Json {
         Json::Float(x, 2)
     }
 
+    /// Whether this is a document with a top-level `"smoke": true`.
+    fn is_smoke(&self) -> bool {
+        matches!(self, Json::Obj(fields)
+            if fields.iter().any(|(k, v)| k == "smoke" && matches!(v, Json::Bool(true))))
+    }
+
     /// Renders the document: top-level object with one field per line,
     /// nested rows compact.
     pub fn render(&self) -> String {
@@ -180,11 +191,26 @@ fn indent(out: &mut String, depth: usize) {
     }
 }
 
-/// Writes `doc` to `path` and logs the write; panicking on I/O failure
-/// is correct in a bench binary (the artifact is the whole point).
-pub fn write_bench_json(path: &str, doc: &Json) {
-    std::fs::write(path, doc.render()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
+/// Writes `contents` as the artifact `name` and logs the write: into
+/// the current directory for a full run, into `target/bench-smoke/` for
+/// a smoke run, so a smoke run can never overwrite a committed full-run
+/// `BENCH_*.json`. Panicking on I/O failure is correct in a bench binary
+/// (the artifact is the whole point).
+pub fn write_bench_file(name: &str, smoke: bool, contents: &str) {
+    let path = if smoke {
+        std::fs::create_dir_all(SMOKE_DIR).unwrap_or_else(|e| panic!("create {SMOKE_DIR}: {e}"));
+        Path::new(SMOKE_DIR).join(name)
+    } else {
+        PathBuf::from(name)
+    };
+    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
+/// Writes `doc` as the artifact `name`, routed by its top-level
+/// `"smoke"` field ([`write_bench_file`]).
+pub fn write_bench_json(name: &str, doc: &Json) {
+    write_bench_file(name, doc.is_smoke(), &doc.render());
 }
 
 /// Asserts a measured ratio floor with a uniform message — the CI gate
@@ -238,6 +264,14 @@ mod tests {
              {\"subscriptions\": 100, \"eps\": 1234.6, \"speedup\": 2.50},\n    \
              {\"subscriptions\": 1000}\n  ]\n}\n"
         );
+    }
+
+    #[test]
+    fn only_a_top_level_smoke_flag_marks_a_smoke_doc() {
+        assert!(Json::obj().field("smoke", Json::Bool(true)).is_smoke());
+        assert!(!Json::obj().field("smoke", Json::Bool(false)).is_smoke());
+        let nested = Json::obj().field("config", Json::obj().field("smoke", Json::Bool(true)));
+        assert!(!nested.is_smoke());
     }
 
     #[test]

@@ -16,25 +16,14 @@ use crate::topology::NodeId;
 /// Simulated time in microseconds.
 pub type SimTime = u64;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Scheduled<M> {
+/// A heap entry: ordered by `(at, seq)`, and `seq` is unique, so ties
+/// break FIFO and `slot` never decides. The heap sifts only these small
+/// keys; the messages stay put in the slab.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
     at: SimTime,
     seq: u64,
-    dst: NodeId,
-    msg: M,
-}
-
-impl<M: Eq> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Min-heap by (time, seq): seq breaks ties FIFO for determinism.
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-impl<M: Eq> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+    slot: usize,
 }
 
 /// A delivery handed to protocol logic.
@@ -66,19 +55,23 @@ pub struct Delivery<M> {
 /// ```
 #[derive(Debug)]
 pub struct Simulator<M> {
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    queue: BinaryHeap<Reverse<Key>>,
+    /// Scheduled messages by slot; a slot is `None` once delivered.
+    slots: Vec<Option<(NodeId, M)>>,
+    /// Delivered slots, reused before the slab grows.
+    free: Vec<usize>,
     now: SimTime,
     seq: u64,
     delivered: u64,
 }
 
-impl<M: Eq> Default for Simulator<M> {
+impl<M> Default for Simulator<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Eq> Simulator<M> {
+impl<M> Simulator<M> {
     /// A simulator at time 0 with an empty queue.
     pub fn new() -> Self {
         Self::with_capacity(0)
@@ -90,6 +83,8 @@ impl<M: Eq> Simulator<M> {
     pub fn with_capacity(capacity: usize) -> Self {
         Simulator {
             queue: BinaryHeap::with_capacity(capacity),
+            slots: Vec::with_capacity(capacity),
+            free: Vec::new(),
             now: 0,
             seq: 0,
             delivered: 0,
@@ -115,11 +110,20 @@ impl<M: Eq> Simulator<M> {
     pub fn schedule_at(&mut self, at: SimTime, dst: NodeId, msg: M) {
         let at = at.max(self.now);
         self.seq += 1;
-        self.queue.push(Reverse(Scheduled {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some((dst, msg));
+                slot
+            }
+            None => {
+                self.slots.push(Some((dst, msg)));
+                self.slots.len() - 1
+            }
+        };
+        self.queue.push(Reverse(Key {
             at,
             seq: self.seq,
-            dst,
-            msg,
+            slot,
         }));
     }
 
@@ -132,15 +136,15 @@ impl<M: Eq> Simulator<M> {
     /// the queue is empty.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Delivery<M>> {
-        let Reverse(s) = self.queue.pop()?;
-        debug_assert!(s.at >= self.now, "time must not move backwards");
-        self.now = s.at;
+        let Reverse(k) = self.queue.pop()?;
+        debug_assert!(k.at >= self.now, "time must not move backwards");
+        // A slot is filled when its key is queued and emptied only here,
+        // so the take always yields the message.
+        let (dst, msg) = self.slots[k.slot].take()?;
+        self.free.push(k.slot);
+        self.now = k.at;
         self.delivered += 1;
-        Some(Delivery {
-            at: s.at,
-            dst: s.dst,
-            msg: s.msg,
-        })
+        Some(Delivery { at: k.at, dst, msg })
     }
 
     /// Pops the next delivery only if it occurs at or before `deadline`.

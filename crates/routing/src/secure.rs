@@ -148,18 +148,16 @@ impl IndexableFilter for SecureFilter {
         KeyQuery::Probe
     }
 
-    fn key_matches(key: &Token, event: &SecureEvent) -> bool {
-        event.tag.matches(key)
-    }
-
-    /// Prepared-probe fast path: a [`PrfContext`] keyed by the bucket's
+    /// Every token bucket keeps a [`PrfContext`] keyed by its
     /// subscription token. Probing an event tag then costs two SHA-1
-    /// compressions (nonce + outer block) instead of four, with no heap
-    /// traffic — the decisive per-event cost at pipeline scale.
+    /// compressions (nonce + outer block) instead of the one-shot HMAC's
+    /// four, with no heap traffic — the decisive per-event cost at scale.
+    /// The context holds nothing the bucket key does not already hold,
+    /// and it is wiped on drop.
     type ProbeContext = PrfContext;
 
-    fn probe_context(key: &Token) -> Option<PrfContext> {
-        Some(PrfContext::for_token(key))
+    fn probe_context(key: &Token) -> PrfContext {
+        PrfContext::for_token(key)
     }
 
     fn context_matches(ctx: &PrfContext, event: &SecureEvent) -> bool {

@@ -133,14 +133,16 @@ impl<F: IndexableFilter> Broker<F> {
         self.table.matching_peers_into(&event, &mut peers);
         self.last_match_work = self.table.last_match_work();
         self.stats.match_evaluations += self.last_match_work;
-        let mut actions = Vec::new();
+        peers.retain(|&p| p != from && p != Peer::Parent);
         if from != Peer::Parent && !self.is_root {
-            actions.push(Action::Deliver(Peer::Parent, event.clone()));
+            peers.insert(0, Peer::Parent);
         }
-        for &peer in &peers {
-            if peer != from && peer != Peer::Parent {
-                actions.push(Action::Deliver(peer, event.clone()));
-            }
+        // Every recipient but the last gets a clone; the last takes the
+        // event itself.
+        let mut actions = Vec::with_capacity(peers.len());
+        if let Some((&last, rest)) = peers.split_last() {
+            actions.extend(rest.iter().map(|&p| Action::Deliver(p, event.clone())));
+            actions.push(Action::Deliver(last, event));
         }
         self.peer_scratch = peers;
         self.stats.events_out += actions.len() as u64;

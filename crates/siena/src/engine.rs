@@ -11,12 +11,13 @@
 
 use std::collections::HashMap;
 
-use psguard_net::{NodeId, SimTime, Simulator, Topology, TransitStubConfig};
+use psguard_net::{Topology, TransitStubConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use crate::broker::{Action, Broker};
+use crate::fault::FaultConfig;
 use crate::index::IndexableFilter;
 use crate::table::Peer;
 
@@ -96,21 +97,6 @@ pub struct RunReport {
     pub max_utilization: f64,
     /// Whether some node was saturated (utilization ≥ 0.98).
     pub saturated: bool,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Envelope<E> {
-    seq: u64,
-    sent_at: SimTime,
-    event: E,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Msg<E> {
-    /// An event arriving at an overlay node.
-    Publish { env: Envelope<E>, from: Peer },
-    /// Final delivery to a subscriber client node.
-    Local { env: Envelope<E> },
 }
 
 /// The overlay engine. Build once (subscriptions included), then run one
@@ -233,13 +219,6 @@ where
     /// the covering optimization (exactly Siena's subscribe path).
     pub fn subscribe(&mut self, client: u32, filter: F) {
         self.registered.push((client, filter.clone()));
-        self.propagate_subscribe(client, filter);
-    }
-
-    /// The subscribe path without recording: used both by [`subscribe`]
-    /// (Self::subscribe) and by the fault layer when replaying state into
-    /// a restarted broker (insertion is covering-aware and idempotent).
-    pub(crate) fn propagate_subscribe(&mut self, client: u32, filter: F) {
         let mut node = self.attach[client as usize];
         let mut actions = self.brokers[node].subscribe(Peer::Local(client), filter);
         while let Some(Action::ForwardSubscribe(f)) = actions.pop() {
@@ -260,7 +239,8 @@ where
     /// Runs a workload with deterministic (fixed-interval) arrivals:
     /// `events` are published round-robin at `rate_eps` events/second for
     /// `duration_s` simulated seconds, then the overlay drains. Use this
-    /// for capacity (saturation) measurements.
+    /// for capacity (saturation) measurements. This is the
+    /// [`run_faulty`](Self::run_faulty) loop under [`FaultConfig::none`].
     pub fn run(
         &mut self,
         events: &[F::Event],
@@ -268,12 +248,15 @@ where
         duration_s: f64,
         cost: &CostModel,
     ) -> RunReport {
-        self.run_impl(events, rate_eps, duration_s, cost, false)
+        let mut fault = FaultConfig::none(self.config.seed);
+        self.run_loop(events, rate_eps, duration_s, cost, &mut fault, false)
+            .summary()
     }
 
     /// Runs a workload with Poisson arrivals (the paper's open-loop
     /// publication load): queueing delays at near-saturated nodes become
-    /// visible, so use this for latency measurements.
+    /// visible, so use this for latency measurements. Reproducible per
+    /// (seed, rate).
     pub fn run_poisson(
         &mut self,
         events: &[F::Event],
@@ -281,193 +264,9 @@ where
         duration_s: f64,
         cost: &CostModel,
     ) -> RunReport {
-        self.run_impl(events, rate_eps, duration_s, cost, true)
-    }
-
-    fn run_impl(
-        &mut self,
-        events: &[F::Event],
-        rate_eps: f64,
-        duration_s: f64,
-        cost: &CostModel,
-        poisson: bool,
-    ) -> RunReport {
-        assert!(!events.is_empty(), "workload must contain events");
-        assert!(rate_eps > 0.0, "rate must be positive");
-        let duration_us = (duration_s * 1e6) as u64;
-        let interarrival = (1e6 / rate_eps).max(1.0);
-
-        let n_nodes = self.subscriber_base + self.config.subscribers as usize;
-        let mut busy_until = vec![0u64; n_nodes];
-        let mut busy_acc = vec![0u64; n_nodes];
-        let mut latencies: Vec<u64> = Vec::new();
-        let mut delivered = 0u64;
-
-        // Pre-size the queue for the whole publication schedule (plus
-        // slack for in-flight forwards) so pushes never regrow the heap.
-        let expected = (duration_us as f64 / interarrival).ceil() as usize + 64;
-        let mut sim: Simulator<Msg<F::Event>> = Simulator::with_capacity(expected);
-        // Pre-schedule the publication arrivals at the publisher (node 0).
-        let mut arr_rng = StdRng::seed_from_u64(self.config.seed ^ rate_eps.to_bits());
-        let mut t = 0.0f64;
-        let mut seq = 0u64;
-        while (t as u64) < duration_us {
-            let env = Envelope {
-                seq,
-                sent_at: t as u64,
-                event: events[(seq as usize) % events.len()].clone(),
-            };
-            sim.schedule_at(
-                t as u64,
-                NodeId(0),
-                Msg::Publish {
-                    env,
-                    from: Peer::Local(u32::MAX),
-                },
-            );
-            seq += 1;
-            if poisson {
-                let u: f64 = arr_rng.gen_range(f64::EPSILON..1.0);
-                t += -u.ln() * interarrival;
-            } else {
-                t += interarrival;
-            }
-        }
-        let published = seq;
-
-        // Hard cap so a pathological configuration cannot spin forever.
-        let max_events = published * (n_nodes as u64 + 4) * 4 + 1000;
-        let mut processed = 0u64;
-        while let Some(d) = sim.next() {
-            processed += 1;
-            if processed > max_events {
-                break;
-            }
-            let node = d.dst.0 as usize;
-            match d.msg {
-                Msg::Publish { env, from } => {
-                    let start = d.at.max(busy_until[node]);
-                    // The envelope is consumed here: move the event into
-                    // the broker instead of cloning it (the broker clones
-                    // per-recipient itself; this saves one clone per hop).
-                    let Envelope {
-                        seq: env_seq,
-                        sent_at: env_sent_at,
-                        event,
-                    } = env;
-                    let actions = self.brokers[node].publish(from, event);
-                    // Fixed per-event work (encryption at the publisher,
-                    // matching everywhere), then store-and-forward
-                    // serialization: each outgoing copy departs
-                    // `broker_forward_us` after the previous one. The
-                    // matching term prices the work the index actually
-                    // performed — key probes plus distinct-predicate
-                    // evaluations — not the table size.
-                    let match_cost = cost.broker_match_us * self.brokers[node].last_match_work();
-                    let fixed = if node == 0 {
-                        cost.publisher_us + match_cost
-                    } else {
-                        match_cost
-                    };
-                    let mut finish = start + fixed.max(1);
-                    let mut departures = Vec::with_capacity(actions.len());
-                    for _ in 0..actions.len() {
-                        finish += cost.broker_forward_us;
-                        departures.push(finish);
-                    }
-                    busy_until[node] = finish;
-                    busy_acc[node] += finish - start;
-                    for (action, finish) in actions.into_iter().zip(departures) {
-                        match action {
-                            Action::Deliver(Peer::Child(c), event) => {
-                                let child = c as usize;
-                                let lat = self.link_up[child];
-                                sim.schedule_at(
-                                    finish + lat,
-                                    NodeId(child as u32),
-                                    Msg::Publish {
-                                        env: Envelope {
-                                            seq: env_seq,
-                                            sent_at: env_sent_at,
-                                            event,
-                                        },
-                                        from: Peer::Parent,
-                                    },
-                                );
-                            }
-                            Action::Deliver(Peer::Local(client), event) => {
-                                let lat = self.access_latency[client as usize];
-                                let dst = self.subscriber_base + client as usize;
-                                sim.schedule_at(
-                                    finish + lat,
-                                    NodeId(dst as u32),
-                                    Msg::Local {
-                                        env: Envelope {
-                                            seq: env_seq,
-                                            sent_at: env_sent_at,
-                                            event,
-                                        },
-                                    },
-                                );
-                            }
-                            Action::Deliver(Peer::Parent, event) => {
-                                if let Some(p) = self.parent_of[node] {
-                                    let lat = self.link_up[node];
-                                    sim.schedule_at(
-                                        finish + lat,
-                                        NodeId(p as u32),
-                                        Msg::Publish {
-                                            env: Envelope {
-                                                seq: env_seq,
-                                                sent_at: env_sent_at,
-                                                event,
-                                            },
-                                            from: Peer::Child(node as u32),
-                                        },
-                                    );
-                                }
-                            }
-                            Action::ForwardSubscribe(_) | Action::ForwardUnsubscribe(_) => {
-                                // Subscriptions are installed before runs.
-                            }
-                        }
-                    }
-                }
-                Msg::Local { env } => {
-                    let start = d.at.max(busy_until[node]);
-                    let finish = start + cost.subscriber_us.max(1);
-                    busy_until[node] = finish;
-                    busy_acc[node] += cost.subscriber_us.max(1);
-                    latencies.push(finish - env.sent_at);
-                    delivered += 1;
-                }
-            }
-        }
-
-        let denom = duration_us.max(1) as f64;
-        let max_utilization = busy_acc
-            .iter()
-            .map(|&b| b as f64 / denom)
-            .fold(0.0, f64::max);
-        latencies.sort_unstable();
-        let mean_latency_ms = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64 / 1000.0
-        };
-        let p99_latency_ms = latencies
-            .get((latencies.len().saturating_sub(1)) * 99 / 100)
-            .map(|&v| v as f64 / 1000.0)
-            .unwrap_or(0.0);
-
-        RunReport {
-            published,
-            delivered,
-            mean_latency_ms,
-            p99_latency_ms,
-            max_utilization,
-            saturated: max_utilization >= 0.98,
-        }
+        let mut fault = FaultConfig::none(self.config.seed);
+        self.run_loop(events, rate_eps, duration_s, cost, &mut fault, true)
+            .summary()
     }
 
     /// Binary-searches the saturation throughput `q_min` (events/second):

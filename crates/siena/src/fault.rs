@@ -32,8 +32,11 @@ use std::collections::{HashMap, HashSet, VecDeque};
 
 use psguard_net::{FaultPlan, FaultStats, NodeId, SimTime, Simulator};
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
 use crate::broker::{Action, Broker};
-use crate::engine::{CostModel, Engine};
+use crate::engine::{CostModel, Engine, RunReport};
 use crate::index::IndexableFilter;
 use crate::table::Peer;
 
@@ -201,6 +204,18 @@ pub struct FaultRunReport {
 }
 
 impl FaultRunReport {
+    /// The fault-free view of this run: what [`Engine::run`] reports.
+    pub(crate) fn summary(&self) -> RunReport {
+        RunReport {
+            published: self.published,
+            delivered: self.delivered,
+            mean_latency_ms: self.mean_latency_ms,
+            p99_latency_ms: self.p99_latency_ms,
+            max_utilization: self.max_utilization,
+            saturated: self.saturated,
+        }
+    }
+
     /// Fraction of published events delivered, normalized by the expected
     /// copy count (`published × subscribers` for all-matching workloads).
     pub fn delivery_fraction(&self, expected_copies: u64) -> f64 {
@@ -270,20 +285,13 @@ impl SeqDedup {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum FMsg<E> {
-    /// An event copy arriving at a broker node.
-    Data {
+    /// An event copy arriving at a broker or subscriber node from engine
+    /// node `from` ([`ORIGIN`] for a publication entering the overlay).
+    Copy {
         seq: u64,
         sent_at: SimTime,
         event: E,
-        from: Peer,
-        hop: u64,
-    },
-    /// Final delivery to a subscriber node.
-    Local {
-        seq: u64,
-        sent_at: SimTime,
-        event: E,
-        from_node: u32,
+        from: u32,
         hop: u64,
     },
     /// Hop acknowledgement, addressed to the sending node.
@@ -310,8 +318,9 @@ struct PendingHop<E> {
     msg: FMsg<E>,
 }
 
-/// Sentinel hop id meaning "not acked" (publisher-local arrivals).
-const NO_HOP: u64 = 0;
+/// The `from` of a publication entering the overlay at the publisher:
+/// there is no sending node, so nothing is acked.
+const ORIGIN: u32 = u32::MAX;
 
 impl<F: IndexableFilter> Engine<F>
 where
@@ -376,16 +385,14 @@ where
     }
 
     /// Runs a fixed-rate workload under a [`FaultPlan`] with the given
-    /// recovery semantics. With [`FaultConfig::none`] this is behaviorally
-    /// identical to [`Engine::run`] — the fault layer is pay-for-what-you-
-    /// use. Control traffic (acks, heartbeats, timers) is not charged
-    /// node service time; the queueing model prices data copies exactly
-    /// as [`Engine::run`] does.
+    /// recovery semantics. [`Engine::run`] is this loop under
+    /// [`FaultConfig::none`] — the fault layer is pay-for-what-you-use.
+    /// Control traffic (acks, heartbeats, timers) is not charged node
+    /// service time; the queueing model prices data copies only.
     ///
     /// # Panics
     ///
-    /// Panics when `events` is empty or `rate_eps` is not positive
-    /// (matching [`Engine::run`]).
+    /// Panics when `events` is empty or `rate_eps` is not positive.
     pub fn run_faulty(
         &mut self,
         events: &[F::Event],
@@ -393,6 +400,22 @@ where
         duration_s: f64,
         cost: &CostModel,
         fault: &mut FaultConfig,
+    ) -> FaultRunReport {
+        self.run_loop(events, rate_eps, duration_s, cost, fault, false)
+    }
+
+    /// The overlay's one discrete-event loop. Publications arrive at node
+    /// 0 at fixed intervals or, with `poisson`, at exponential gaps drawn
+    /// from an RNG seeded with `seed ^ rate_eps.to_bits()`. Every node is
+    /// a FIFO server priced by `cost`.
+    pub(crate) fn run_loop(
+        &mut self,
+        events: &[F::Event],
+        rate_eps: f64,
+        duration_s: f64,
+        cost: &CostModel,
+        fault: &mut FaultConfig,
+        poisson: bool,
     ) -> FaultRunReport {
         assert!(!events.is_empty(), "workload must contain events");
         assert!(rate_eps > 0.0, "rate must be positive");
@@ -416,16 +439,20 @@ where
         let mut reinstalls = 0u64;
         let mut revoked: Vec<(u32, SimTime)> = Vec::new();
 
-        let dedup_cap = recovery.map(|r| r.dedup_window).unwrap_or(0);
+        // A zero-capacity window (no recovery) never suppresses.
+        let dedup_cap = recovery.map_or(0, |r| r.dedup_window);
         let mut dedup: Vec<SeqDedup> = (0..n_nodes).map(|_| SeqDedup::new(dedup_cap)).collect();
         let mut pending: HashMap<u64, PendingHop<F::Event>> = HashMap::new();
-        let mut hop_counter: u64 = NO_HOP;
+        let mut hop_counter = 0u64;
         // Liveness bookkeeping for heartbeats: (listener, speaker) → last
         // heard time. Time 0 counts as "just heard" (startup grace).
         let mut last_heard: HashMap<(usize, usize), SimTime> = HashMap::new();
         let mut evicted: HashSet<(usize, usize)> = HashSet::new();
 
-        let mut sim: Simulator<FMsg<F::Event>> = Simulator::new();
+        // Pre-size the queue for the whole publication schedule (plus
+        // slack for in-flight forwards) so pushes never regrow the heap.
+        let expected = (duration_us as f64 / interarrival).ceil() as usize + 64;
+        let mut sim: Simulator<FMsg<F::Event>> = Simulator::with_capacity(expected);
 
         // Retry budget bounds how long after the last publication the
         // overlay can still be working; heartbeats stop past this horizon
@@ -461,23 +488,28 @@ where
             }
         }
 
-        // Publication arrivals at the publisher (node 0), fixed-interval.
+        // Publication arrivals at the publisher (node 0).
+        let mut arrivals =
+            poisson.then(|| StdRng::seed_from_u64(self.config.seed ^ rate_eps.to_bits()));
         let mut t = 0.0f64;
         let mut seq = 0u64;
         while (t as u64) < duration_us {
             sim.schedule_at(
                 t as u64,
                 NodeId(0),
-                FMsg::Data {
+                FMsg::Copy {
                     seq,
                     sent_at: t as u64,
                     event: events[(seq as usize) % events.len()].clone(),
-                    from: Peer::Local(u32::MAX),
-                    hop: NO_HOP,
+                    from: ORIGIN,
+                    hop: 0,
                 },
             );
             seq += 1;
-            t += interarrival;
+            t += match &mut arrivals {
+                Some(rng) => -rng.gen_range(f64::EPSILON..1.0).ln() * interarrival,
+                None => interarrival,
+            };
         }
         let published = seq;
 
@@ -497,7 +529,7 @@ where
             let node = d.dst.0 as usize;
             let at = d.at;
             match d.msg {
-                FMsg::Data {
+                FMsg::Copy {
                     seq,
                     sent_at,
                     event,
@@ -508,98 +540,91 @@ where
                         lost_to_dead_node += 1;
                         continue;
                     }
-                    let sender = match from {
-                        Peer::Child(c) => Some(c as usize),
-                        Peer::Parent => self.parent_of[node],
-                        Peer::Local(_) => None,
-                    };
-                    if let (Some(rec), Some(src)) = (recovery, sender) {
-                        if hop != NO_HOP {
-                            let lat = self.hop_latency(node, src);
-                            sim.send_faulty(
-                                plan,
-                                d.dst,
-                                NodeId(src as u32),
-                                lat,
-                                FMsg::Ack { hop },
-                            );
-                        }
-                        if rec.heartbeat_interval_us > 0 && src < total_brokers {
+                    if let (Some(rec), true) = (recovery, from != ORIGIN) {
+                        let src = from as usize;
+                        let lat = self.hop_latency(node, src);
+                        sim.send_faulty(plan, d.dst, NodeId(from), lat, FMsg::Ack { hop });
+                        if rec.heartbeat_interval_us > 0 && node < total_brokers {
                             last_heard.insert((node, src), at);
                         }
                     }
-                    if dedup_cap > 0 && !dedup[node].first_seen(seq) {
+                    if !dedup[node].first_seen(seq) {
                         duplicates_suppressed += 1;
                         continue;
                     }
-
                     let start = at.max(busy_until[node]);
-                    let actions = self.brokers[node].publish(from, event);
+
+                    if node >= total_brokers {
+                        // A subscriber: decrypt and deliver.
+                        let finish = start + cost.subscriber_us.max(1);
+                        busy_until[node] = finish;
+                        busy_acc[node] += cost.subscriber_us.max(1);
+                        latencies.push(finish - sent_at);
+                        delivered += 1;
+                        if fault.record_deliveries {
+                            deliveries.push(DeliveryRecord {
+                                client: (node - total_brokers) as u32,
+                                event_seq: seq,
+                                sent_at,
+                                delivered_at: finish,
+                            });
+                        }
+                        continue;
+                    }
+
+                    let from_peer = if from == ORIGIN {
+                        Peer::Local(ORIGIN)
+                    } else if self.parent_of[node] == Some(from as usize) {
+                        Peer::Parent
+                    } else {
+                        Peer::Child(from)
+                    };
+                    // The copy is consumed here: the event moves into the
+                    // broker, which clones per recipient itself.
+                    let actions = self.brokers[node].publish(from_peer, event);
+                    // The matching term prices the work the index actually
+                    // performed — key probes plus distinct-predicate
+                    // evaluations — not the table size.
                     let match_cost = cost.broker_match_us * self.brokers[node].last_match_work();
                     let fixed = if node == 0 {
                         cost.publisher_us + match_cost
                     } else {
                         match_cost
                     };
-                    let mut finish = start + fixed.max(1);
-                    let mut departures = Vec::with_capacity(actions.len());
-                    for _ in 0..actions.len() {
-                        finish += cost.broker_forward_us;
-                        departures.push(finish);
-                    }
+                    // Store-and-forward: the k-th outgoing copy departs
+                    // `k * broker_forward_us` after the fixed work.
+                    let mut depart = start + fixed.max(1);
+                    let finish = depart + cost.broker_forward_us * actions.len() as u64;
                     busy_until[node] = finish;
                     busy_acc[node] += finish - start;
-                    for (action, depart) in actions.into_iter().zip(departures) {
-                        let (dst, latency, msg) = match action {
+                    for action in actions {
+                        depart += cost.broker_forward_us;
+                        let (dst, latency, event) = match action {
                             Action::Deliver(Peer::Child(c), e) => {
-                                let child = c as usize;
-                                hop_counter += 1;
-                                (
-                                    child,
-                                    self.link_up[child],
-                                    FMsg::Data {
-                                        seq,
-                                        sent_at,
-                                        event: e,
-                                        from: Peer::Parent,
-                                        hop: hop_counter,
-                                    },
-                                )
+                                (c as usize, self.link_up[c as usize], e)
                             }
                             Action::Deliver(Peer::Parent, e) => {
                                 let Some(parent) = self.parent_of[node] else {
                                     continue;
                                 };
-                                hop_counter += 1;
-                                (
-                                    parent,
-                                    self.link_up[node],
-                                    FMsg::Data {
-                                        seq,
-                                        sent_at,
-                                        event: e,
-                                        from: Peer::Child(node as u32),
-                                        hop: hop_counter,
-                                    },
-                                )
+                                (parent, self.link_up[node], e)
                             }
-                            Action::Deliver(Peer::Local(client), e) => {
-                                hop_counter += 1;
-                                (
-                                    self.subscriber_base + client as usize,
-                                    self.access_latency[client as usize],
-                                    FMsg::Local {
-                                        seq,
-                                        sent_at,
-                                        event: e,
-                                        from_node: node as u32,
-                                        hop: hop_counter,
-                                    },
-                                )
-                            }
+                            Action::Deliver(Peer::Local(client), e) => (
+                                total_brokers + client as usize,
+                                self.access_latency[client as usize],
+                                e,
+                            ),
                             Action::ForwardSubscribe(_) | Action::ForwardUnsubscribe(_) => {
                                 continue;
                             }
+                        };
+                        hop_counter += 1;
+                        let msg = FMsg::Copy {
+                            seq,
+                            sent_at,
+                            event,
+                            from: node as u32,
+                            hop: hop_counter,
                         };
                         let base = (depart - at) + latency;
                         if let Some(rec) = recovery {
@@ -619,40 +644,6 @@ where
                         } else {
                             sim.send_faulty(plan, d.dst, NodeId(dst as u32), base, msg);
                         }
-                    }
-                }
-                FMsg::Local {
-                    seq,
-                    sent_at,
-                    event: _,
-                    from_node,
-                    hop,
-                } => {
-                    if !plan.is_up(d.dst, at) {
-                        lost_to_dead_node += 1;
-                        continue;
-                    }
-                    if recovery.is_some() && hop != NO_HOP {
-                        let lat = self.hop_latency(node, from_node as usize);
-                        sim.send_faulty(plan, d.dst, NodeId(from_node), lat, FMsg::Ack { hop });
-                    }
-                    if dedup_cap > 0 && !dedup[node].first_seen(seq) {
-                        duplicates_suppressed += 1;
-                        continue;
-                    }
-                    let start = at.max(busy_until[node]);
-                    let finish = start + cost.subscriber_us.max(1);
-                    busy_until[node] = finish;
-                    busy_acc[node] += cost.subscriber_us.max(1);
-                    latencies.push(finish - sent_at);
-                    delivered += 1;
-                    if fault.record_deliveries {
-                        deliveries.push(DeliveryRecord {
-                            client: (node - self.subscriber_base) as u32,
-                            event_seq: seq,
-                            sent_at,
-                            delivered_at: finish,
-                        });
                     }
                 }
                 FMsg::Ack { hop } => {
@@ -746,16 +737,14 @@ where
                     }
                 }
                 FMsg::Crash => {
-                    if recovery.is_some_and(|r| r.durable_log) {
-                        // Durable log: the restart re-seeds the dedup
-                        // window from the recovered high-water mark and
-                        // replays unacked hops, so both survive the
-                        // window — post-restart duplicates get counted
-                        // (suppressed), never re-delivered.
-                    } else {
-                        // Sender-side reliability state at the crashed
-                        // node is gone; in-flight copies stay on the
-                        // wire.
+                    // Without a durable log the crashed node's sender-side
+                    // reliability state is gone (in-flight copies stay on
+                    // the wire). With one, the restart re-seeds the dedup
+                    // window from the recovered high-water mark and
+                    // replays unacked hops, so both survive the window —
+                    // post-restart duplicates get counted, never
+                    // re-delivered.
+                    if !recovery.is_some_and(|r| r.durable_log) {
                         pending.retain(|_, p| p.src != node);
                         dedup[node].clear();
                     }
@@ -770,15 +759,12 @@ where
                     }
                 }
                 FMsg::Revoke { client } => {
-                    let filters: Vec<F> = self
-                        .registered
-                        .iter()
-                        .filter(|(c, _)| *c == client)
-                        .map(|(_, f)| f.clone())
-                        .collect();
-                    self.registered.retain(|(c, _)| *c != client);
+                    let (filters, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.registered)
+                        .into_iter()
+                        .partition(|(c, _)| *c == client);
+                    self.registered = kept;
                     if plan.is_up(d.dst, at) {
-                        for f in filters {
+                        for (_, f) in filters {
                             let mut n = node;
                             let mut actions = self.brokers[n].unsubscribe(Peer::Local(client), &f);
                             while let Some(Action::ForwardUnsubscribe(uf)) = actions.pop() {

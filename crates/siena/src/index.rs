@@ -88,7 +88,7 @@ pub enum KeyQuery<K> {
     /// filters, where an event's topic is visible.
     Direct(Vec<K>),
     /// Candidate keys cannot be read off the event; every live bucket
-    /// key must be probed with [`IndexableFilter::key_matches`]: secure
+    /// must be probed with [`IndexableFilter::context_matches`]: secure
     /// filters, where only a PRF test links a tag to a token.
     Probe,
 }
@@ -99,7 +99,7 @@ pub enum KeyQuery<K> {
 /// Implementations must satisfy, for every filter `f` and event `e`:
 /// `f.matches(e)` ⇔ *the event reaches `f`'s bucket* (per
 /// [`candidate_keys`](Self::candidate_keys) /
-/// [`key_matches`](Self::key_matches)) *and every constraint in
+/// [`context_matches`](Self::context_matches)) *and every constraint in
 /// [`indexed_constraints`](Self::indexed_constraints) holds on the
 /// attributes exposed by [`event_attr`](Self::event_attr)*. The
 /// index-vs-linear property tests in `tests/` pin this equivalence.
@@ -121,36 +121,22 @@ pub trait IndexableFilter: FilterSemantics + Hash {
     /// The buckets this event could match.
     fn candidate_keys(event: &Self::Event) -> KeyQuery<Self::Key>;
 
-    /// Probe-mode test: does the event's tag match this bucket key? Only
-    /// called when [`candidate_keys`](Self::candidate_keys) returns
-    /// [`KeyQuery::Probe`]; the default (for direct-keyed filters) is
-    /// never invoked.
-    fn key_matches(_key: &Self::Key, _event: &Self::Event) -> bool {
-        false
-    }
-
     /// Reusable per-key probe state, e.g. a keyed PRF context with its
     /// pad states precomputed ([`psguard_crypto::PrfContext`] for secure
     /// filters). `()` for direct-keyed families that never probe.
     type ProbeContext: Clone + Send + std::fmt::Debug + 'static;
 
-    /// Builds the reusable probe context for `key`. `None` (the default)
-    /// means the family has no prepared-probe fast path and
-    /// [`key_matches`](Self::key_matches) is always used.
-    ///
-    /// Only consulted by indexes created with
-    /// [`MatchIndex::with_prepared_probes`]: preparing a context keeps
-    /// key-equivalent digest state resident for the bucket's lifetime,
-    /// which is a deliberate memory/secrecy-vs-throughput trade the
-    /// caller opts into (see DESIGN.md §13).
-    fn probe_context(_key: &Self::Key) -> Option<Self::ProbeContext> {
-        None
-    }
+    /// Builds the probe context for `key`. Every bucket carries one for
+    /// its lifetime, so keyed setup is paid once per distinct key rather
+    /// than once per probe (see DESIGN.md §13).
+    fn probe_context(key: &Self::Key) -> Self::ProbeContext;
 
-    /// Probe-mode test via a prepared context. Must decide exactly like
-    /// [`key_matches`](Self::key_matches) for the key the context was
-    /// built from; the default (never called without a context) is
-    /// unreachable in practice.
+    /// Probe-mode test: does the event's tag match the bucket whose key
+    /// built `ctx`? Only called when
+    /// [`candidate_keys`](Self::candidate_keys) returns
+    /// [`KeyQuery::Probe`]; must decide exactly like
+    /// [`FilterSemantics::matches`]' key test. The default (for
+    /// direct-keyed filters) is never invoked.
     fn context_matches(_ctx: &Self::ProbeContext, _event: &Self::Event) -> bool {
         false
     }
@@ -172,6 +158,8 @@ pub trait IndexableFilter: FilterSemantics + Hash {
 impl IndexableFilter for psguard_model::Filter {
     type Key = Option<String>;
     type ProbeContext = ();
+
+    fn probe_context(_key: &Option<String>) {}
 
     fn routing_key(&self) -> Option<String> {
         self.topic().map(str::to_owned)
@@ -692,8 +680,7 @@ impl AttrSlot {
 /// off the shared arenas; the bucket itself only stores list handles
 /// and the interning map into the global pid space.
 #[derive(Debug, Clone)]
-struct Bucket<K> {
-    key: K,
+struct Bucket {
     /// All live entries (kept strictly in sync by insert/remove); also
     /// the bucket-emptiness test via `entries.len`.
     entries: ChunkList,
@@ -705,10 +692,9 @@ struct Bucket<K> {
     pred_of: FxHashMap<Constraint, u32>,
 }
 
-impl<K> Bucket<K> {
-    fn new(key: K) -> Self {
+impl Bucket {
+    fn new() -> Self {
         Bucket {
-            key,
             entries: ChunkList::default(),
             unconstrained: ChunkList::default(),
             attrs: Vec::new(),
@@ -849,7 +835,7 @@ const PROBE_MEMO_CAP: usize = 1024;
 #[derive(Debug, Clone)]
 pub struct MatchIndex<F: IndexableFilter> {
     keys: FxHashMap<F::Key, u32>,
-    buckets: Vec<Bucket<F::Key>>,
+    buckets: Vec<Bucket>,
     store: PredStore,
     /// Hot per-entry records, indexed by [`EntryId`].
     hot: Vec<HotEntry>,
@@ -867,12 +853,9 @@ pub struct MatchIndex<F: IndexableFilter> {
     memo: FxHashMap<u128, (u32, u32)>,
     memo_slab: Vec<u32>,
     last_stats: MatchStats,
-    /// Whether buckets carry prepared probe contexts
-    /// ([`IndexableFilter::probe_context`]).
-    prepared: bool,
-    /// Per-bucket prepared probe context (parallel to `buckets`); `None`
-    /// when unprepared or the family has no context.
-    probe_ctxs: Vec<Option<F::ProbeContext>>,
+    /// Per-bucket probe context (parallel to `buckets`); zero-sized for
+    /// direct-keyed families.
+    probe_ctxs: Vec<F::ProbeContext>,
     /// `(seq, peer)` pairs of the query in flight, reused across
     /// queries. Carrying the pair (not the entry id) means the final
     /// sort-by-seq and the dedup pass never touch the entry arrays.
@@ -898,7 +881,6 @@ impl<F: IndexableFilter> Default for MatchIndex<F> {
             memo: FxHashMap::default(),
             memo_slab: Vec::new(),
             last_stats: MatchStats::default(),
-            prepared: false,
             probe_ctxs: Vec::new(),
             matched_scratch: Vec::new(),
             cand_scratch: Vec::new(),
@@ -911,17 +893,6 @@ impl<F: IndexableFilter> MatchIndex<F> {
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty index that builds a reusable probe context per bucket
-    /// ([`IndexableFilter::probe_context`]), amortizing keyed-PRF setup
-    /// across every probe of that key. Used by the sharded pipeline; the
-    /// default serial index keeps the one-shot probe path.
-    pub fn with_prepared_probes() -> Self {
-        MatchIndex {
-            prepared: true,
-            ..Self::default()
-        }
     }
 
     /// Live registrations.
@@ -975,12 +946,8 @@ impl<F: IndexableFilter> MatchIndex<F> {
             Some(&b) => b,
             None => {
                 let b = self.buckets.len() as u32;
-                self.probe_ctxs.push(if self.prepared {
-                    F::probe_context(&key)
-                } else {
-                    None
-                });
-                self.buckets.push(Bucket::new(key.clone()));
+                self.probe_ctxs.push(F::probe_context(&key));
+                self.buckets.push(Bucket::new());
                 self.keys.insert(key, b);
                 b
             }
@@ -1189,16 +1156,12 @@ impl<F: IndexableFilter> MatchIndex<F> {
             }
         }
         let start = out.len();
-        for (bid, bucket) in self.buckets.iter().enumerate() {
+        for (bid, (bucket, ctx)) in self.buckets.iter().zip(&self.probe_ctxs).enumerate() {
             if bucket.entries.len == 0 {
                 continue;
             }
             stats.key_probes += 1;
-            let hit = match self.probe_ctxs.get(bid).and_then(Option::as_ref) {
-                Some(ctx) => F::context_matches(ctx, event),
-                None => F::key_matches(&bucket.key, event),
-            };
-            if hit {
+            if F::context_matches(ctx, event) {
                 out.push(bid as u32);
             }
         }
@@ -1228,7 +1191,7 @@ impl<F: IndexableFilter> MatchIndex<F> {
 /// the caller can split-borrow: `bucket`/`store` shared, `hot` counters
 /// mutable.
 fn match_bucket<F: IndexableFilter>(
-    bucket: &Bucket<F::Key>,
+    bucket: &Bucket,
     store: &PredStore,
     hot: &mut [HotEntry],
     generation: u32,

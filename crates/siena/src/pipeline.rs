@@ -12,10 +12,10 @@
 //!   events can be matched against all shards concurrently via
 //!   [`std::thread::scope`]. `N = 1` degenerates to the serial path — no
 //!   threads are spawned.
-//! * **Prepared probe contexts.** Every shard index is created with
-//!   [`MatchIndex::with_prepared_probes`], so probe-keyed families (the
-//!   secure filters) pay keyed-PRF setup once per *bucket* instead of
-//!   once per *probe*.
+//! * **Prepared probe contexts.** Like every [`MatchIndex`], each shard
+//!   index keeps one probe context per bucket, so probe-keyed families
+//!   (the secure filters) pay keyed-PRF setup once per *bucket* instead
+//!   of once per *probe*.
 //! * **Deterministic merge.** Each registration gets a global sequence
 //!   number at the pipeline level ([`MatchIndex::insert_with_seq`]);
 //!   shards report matches as `(seq, peer)` pairs and the merge sorts by
@@ -142,7 +142,7 @@ struct Shard<F: IndexableFilter> {
 impl<F: IndexableFilter> Shard<F> {
     fn new() -> Self {
         Shard {
-            index: MatchIndex::with_prepared_probes(),
+            index: MatchIndex::new(),
             entries: Vec::new(),
             out: Vec::new(),
             ends: Vec::new(),
@@ -309,20 +309,20 @@ impl<F: IndexableFilter> ShardedPipeline<F> {
         true
     }
 
-    /// Removes every registration of `peer` (e.g. on disconnect).
+    /// Removes every registration of `peer` (e.g. on disconnect): one
+    /// order-preserving pass per shard.
     pub fn peer_down(&mut self, peer: Peer) -> usize {
         let mut removed = 0;
         for s in &mut self.shards {
-            let mut pos = 0;
-            while pos < s.entries.len() {
-                if s.entries[pos].0 == peer {
-                    let (_, _, id) = s.entries.remove(pos);
-                    s.index.remove(id);
+            let Shard { index, entries, .. } = s;
+            entries.retain(|&(p, _, id)| {
+                let keep = p != peer;
+                if !keep {
+                    index.remove(id);
                     removed += 1;
-                } else {
-                    pos += 1;
                 }
-            }
+                keep
+            });
         }
         self.live -= removed;
         removed

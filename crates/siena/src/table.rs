@@ -111,45 +111,45 @@ impl<F: IndexableFilter> SubscriptionTable<F> {
     /// Removes a specific `(peer, filter)` registration. Returns `true`
     /// when something was removed.
     pub fn remove(&mut self, peer: Peer, filter: &F) -> bool {
-        let h = entry_hash(peer, filter);
-        if self.seen.get(&h).copied().unwrap_or(0) == 0 {
-            return false;
-        }
-        // Insert's idempotence guarantees at most one exact occurrence.
-        let Some(pos) = self
-            .entries
-            .iter()
-            .position(|(p, f)| *p == peer && f == filter)
-        else {
-            return false;
-        };
-        self.remove_at(pos, h);
-        true
+        // An absent hash means no such registration: skip the scan.
+        self.seen.contains_key(&entry_hash(peer, filter))
+            && self.remove_where(|p, f| p == peer && f == filter) > 0
     }
 
     /// Removes every registration of `peer` (e.g. on disconnect).
     pub fn remove_peer(&mut self, peer: Peer) -> usize {
-        let mut removed = 0;
-        while let Some(pos) = self.entries.iter().position(|(p, _)| *p == peer) {
-            let h = entry_hash(peer, &self.entries[pos].1);
-            self.remove_at(pos, h);
-            removed += 1;
-        }
-        removed
+        self.remove_where(|p, _| p == peer)
     }
 
-    fn remove_at(&mut self, pos: usize, hash: u64) {
-        self.index.remove(self.ids[pos]);
-        // O(n) shift keeps registration order, so the index's first-seen
-        // ordering and the linear reference stay aligned.
-        self.entries.remove(pos);
-        self.ids.remove(pos);
-        if let Some(c) = self.seen.get_mut(&hash) {
-            *c -= 1;
-            if *c == 0 {
-                self.seen.remove(&hash);
+    /// Removes every registration `doomed` selects in one compaction
+    /// pass, O(n) however many go. Survivors keep their registration
+    /// order, so the index's first-seen ordering and the linear
+    /// reference stay aligned.
+    fn remove_where(&mut self, doomed: impl Fn(Peer, &F) -> bool) -> usize {
+        let before = self.entries.len();
+        let mut kept = 0;
+        for i in 0..before {
+            let (peer, filter) = &self.entries[i];
+            if doomed(*peer, filter) {
+                self.index.remove(self.ids[i]);
+                let h = entry_hash(*peer, filter);
+                if let Some(c) = self.seen.get_mut(&h) {
+                    *c -= 1;
+                    if *c == 0 {
+                        self.seen.remove(&h);
+                    }
+                }
+            } else {
+                if kept != i {
+                    self.entries.swap(kept, i);
+                    self.ids.swap(kept, i);
+                }
+                kept += 1;
             }
         }
+        self.entries.truncate(kept);
+        self.ids.truncate(kept);
+        before - kept
     }
 
     /// The distinct peers whose filters match `event`, in first-seen
@@ -314,5 +314,31 @@ mod tests {
         assert_eq!(t.remove_peer(Peer::Child(1)), 1);
         assert_eq!(t.len(), 1);
         assert_eq!(t.matching_peers(&event(15)), vec![Peer::Local(7)]);
+
+        // Interleaved peers: after remove_peer the survivors must match
+        // in exactly the order a fresh table built from them produces.
+        let mut t = SubscriptionTable::new();
+        for i in 0..40i64 {
+            t.insert(Peer::Child((i % 5) as u32), age_filter(i % 7 * 5 + i / 10));
+        }
+        let gone = Peer::Child(2);
+        let held = t.entries().iter().filter(|(p, _)| *p == gone).count();
+        assert!(held > 1);
+        assert_eq!(t.remove_peer(gone), held);
+        assert!(t.entries().iter().all(|(p, _)| *p != gone));
+        let mut fresh = SubscriptionTable::new();
+        for (p, f) in t.entries() {
+            fresh.insert(*p, f.clone());
+        }
+        assert_eq!(fresh.len(), t.len());
+        for age in 0..40i64 {
+            let e = event(age);
+            let got = t.matching_peers(&e);
+            assert_eq!(got, fresh.matching_peers(&e), "age={age}");
+            assert_eq!(got, t.matching_peers_linear(&e), "age={age}");
+        }
+        // The peer can register one of its old filters again.
+        t.insert(gone, age_filter(10));
+        assert_eq!(t.len(), fresh.len() + 1);
     }
 }

@@ -1,34 +1,28 @@
 //! Reusable keyed crypto contexts that amortize per-key setup across events.
 //!
-//! The one-shot APIs (`prf`, `hmac_sha1`, `Aes128::new` + `cbc_encrypt`)
-//! redo key setup on every call: HMAC hashes the padded key block twice
-//! (two compression-function calls) before touching the message, and AES
-//! expands the full round-key schedule. On the broker's hot path the *same*
+//! The one-shot APIs (`prf`, `hmac_sha1`) redo key setup on every call:
+//! HMAC hashes the padded key block twice (two compression-function calls)
+//! before touching the message. On the broker's hot path the *same*
 //! key is used for thousands of events — a subscription token probes every
-//! event in a batch, a publisher encrypts a stream of events under the same
-//! content key. The contexts here precompute the keyed state once:
+//! event in a batch, a publisher seeds every event's iv/nonce stream under
+//! the same topic key. The contexts here precompute the keyed state once:
 //!
 //! * [`HmacContext`] — keyed inner/outer digest states per RFC 2104,
 //!   cloned per MAC instead of re-deriving the pads;
 //! * [`PrfContext`] — the same idea specialized to the tokenization PRF
 //!   `F` (HMAC-SHA1), with an allocation-free verify path: two SHA-1
-//!   compressions per probe instead of four, and zero heap traffic;
-//! * [`AesContext`] — an expanded AES-128 round-key schedule reused across
-//!   CBC calls.
+//!   compressions per probe instead of four, and zero heap traffic.
 //!
-//! All three hold key-equivalent material (pad-absorbed digest states are
-//! as good as the key for forging MACs; round keys invert to the AES key),
-//! so they wipe themselves on drop, print redacted `Debug` forms, and are
-//! on the psguard-xtask secret-hygiene taint list.
+//! Both hold key-equivalent material (pad-absorbed digest states are as
+//! good as the key for forging MACs), so they wipe themselves on drop,
+//! print redacted `Debug` forms, and are on the psguard-xtask
+//! secret-hygiene taint list.
 
-use crate::aes::Aes128;
 use crate::ct::ct_eq;
 use crate::digest::Digest;
 use crate::hmac::{keyed_pads, Hmac};
-use crate::modes::{cbc_decrypt, cbc_encrypt, CipherError};
 use crate::prf::Token;
 use crate::sha1::Sha1;
-use crate::BLOCK_SIZE;
 
 /// A reusable HMAC key context: the inner/outer digest states with the
 /// padded key block already absorbed.
@@ -161,63 +155,6 @@ impl Drop for PrfContext {
     }
 }
 
-/// A reusable AES-128 context: the expanded round-key schedule, shared
-/// across CBC calls instead of re-running the key schedule per event.
-///
-/// [`Aes128`] already zeroizes its round keys on drop; this wrapper gives
-/// the reuse pattern a name the secret-hygiene tooling can track and adds
-/// the CBC conveniences the publish path wants.
-///
-/// # Example
-///
-/// ```
-/// use psguard_crypto::AesContext;
-///
-/// let ctx = AesContext::new(&[7u8; 16]);
-/// let iv = [9u8; 16];
-/// let ct = ctx.encrypt_cbc(&iv, b"attribute payload");
-/// assert_eq!(ctx.decrypt_cbc(&iv, &ct).unwrap(), b"attribute payload");
-/// ```
-#[derive(Clone)]
-pub struct AesContext {
-    cipher: Aes128,
-}
-
-impl std::fmt::Debug for AesContext {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AesContext").finish_non_exhaustive()
-    }
-}
-
-impl AesContext {
-    /// Expands `key` into a reusable round-key schedule.
-    pub fn new(key: &[u8; 16]) -> Self {
-        Self {
-            cipher: Aes128::new(key),
-        }
-    }
-
-    /// The underlying block cipher, for use with [`crate::ctr_apply`] and
-    /// friends.
-    pub fn cipher(&self) -> &Aes128 {
-        &self.cipher
-    }
-
-    /// AES-128-CBC encryption with PKCS#7 padding, reusing the schedule.
-    pub fn encrypt_cbc(&self, iv: &[u8; BLOCK_SIZE], plaintext: &[u8]) -> Vec<u8> {
-        cbc_encrypt(&self.cipher, iv, plaintext)
-    }
-
-    /// AES-128-CBC decryption with PKCS#7 unpadding, reusing the schedule.
-    pub fn decrypt_cbc(
-        &self,
-        iv: &[u8; BLOCK_SIZE],
-        ciphertext: &[u8],
-    ) -> Result<Vec<u8>, CipherError> {
-        cbc_decrypt(&self.cipher, iv, ciphertext)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,24 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn aes_context_matches_fresh_schedule() {
-        let key = [0x2bu8; 16];
-        let iv = [0x01u8; 16];
-        let pt = b"the quick brown fox jumps over the lazy dog";
-        let ctx = AesContext::new(&key);
-        let fresh = cbc_encrypt(&Aes128::new(&key), &iv, pt);
-        assert_eq!(ctx.encrypt_cbc(&iv, pt), fresh);
-        assert_eq!(ctx.decrypt_cbc(&iv, &fresh).unwrap(), pt.to_vec());
-    }
-
-    #[test]
     fn contexts_debug_is_redacted() {
         let p = PrfContext::new(b"secret key material");
         assert_eq!(format!("{p:?}"), "PrfContext { .. }");
         let h = HmacContext::<Sha1>::new(b"secret key material");
         assert_eq!(format!("{h:?}"), "HmacContext { .. }");
-        let a = AesContext::new(&[3u8; 16]);
-        assert_eq!(format!("{a:?}"), "AesContext { .. }");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! This crate is the facade tying those layers together: a [`PsGuard`]
 //! deployment hands out [`Publisher`] and [`Subscriber`] handles, and
 //! [`SecureEngine`] runs the full encrypted pipeline over a broker
-//! overlay.
+//! overlay. [`Publisher::publish`] is the one encrypt path: it derives
+//! `K(e)` through the publisher's key cache and encrypts each event
+//! once.
 //!
 //! # Quickstart
 //!
@@ -60,14 +62,12 @@
 
 mod engine;
 mod error;
-mod pipeline;
 mod publisher;
 mod service;
 mod subscriber;
 
 pub use engine::{secure_cost_model, CryptoCosts, SecureEngine};
 pub use error::{DecryptError, MeasureError, PublishError, SubscribeError};
-pub use pipeline::SecurePipeline;
 pub use publisher::{Publisher, PublisherCredential};
 pub use service::{PsGuard, PsGuardConfig};
 pub use subscriber::Subscriber;

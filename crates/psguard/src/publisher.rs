@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 
 use psguard_crypto::DeriveKey;
-use psguard_crypto::{cbc_encrypt, Aes128, AesContext, PrfContext, Token};
+use psguard_crypto::{cbc_encrypt, Aes128, PrfContext, Token};
 use psguard_keys::{
     combine_master, event_key_addresses, mac_key, part_from_topic_key, AuthKey, EpochId,
     EventKeyAddress, KeyCache, KeyScope, Ktid, OpCounter, Schema,
@@ -16,16 +16,9 @@ use rand::{RngCore, SeedableRng};
 
 use crate::error::PublishError;
 
-/// Per-worker event-key cache entries kept before wholesale eviction.
-const EVENT_KEY_CACHE_CAP: usize = 256;
-
 /// KH label separating the per-topic IV-derivation key from every other
 /// use of the topic key.
 const IV_SEED_LABEL: &[u8] = b"psguard-iv-seed";
-
-/// Stream id for serial [`Publisher::publish`] calls; batch streams use
-/// the 1-based batch counter, so the two can never collide.
-const SERIAL_STREAM: u64 = 0;
 
 /// A per-(topic, epoch) publishing credential issued by the KDC: the
 /// topic key `K(w)` (or `K_P(w)`) and the routing token `T(w)`.
@@ -41,177 +34,34 @@ pub struct PublisherCredential {
     pub token: Token,
 }
 
-/// Event-key material cached per distinct address vector: the expanded
-/// AES schedule for `K(e)` and the derived MAC key. Consecutive events
-/// with the same keyed attribute values share both.
-///
-/// The derived `Debug` goes through the fields' own redacting `Debug`
-/// impls, so no key material can leak into logs.
+/// One installed credential, with the IV-derivation context built once at
+/// install time.
 #[derive(Debug)]
-struct EventKeys {
-    aes: AesContext,
-    mac: DeriveKey,
-}
-
-/// Per-worker derivation state for [`Publisher::publish_batch`]: a NAKT
-/// key cache, an event-key cache, and a private op counter merged into
-/// the publisher's after each batch.
-#[derive(Debug)]
-struct BatchWorker {
-    cache: KeyCache,
-    ops: OpCounter,
-    /// Keyed by (stable topic id, epoch, address vector). The topic id is
-    /// the publisher-lifetime id from [`Publisher::topic_ids`] — never a
-    /// per-batch index, because these entries outlive the batch and a
-    /// later batch may see topics in a different order.
-    keys: HashMap<(u64, u64, Vec<EventKeyAddress>), EventKeys>,
-}
-
-impl BatchWorker {
-    fn new() -> Self {
-        BatchWorker {
-            cache: KeyCache::new(64 * 1024),
-            ops: OpCounter::new(),
-            keys: HashMap::new(),
-        }
-    }
-
-    /// The AES/MAC material for an event with key parts at `addrs`,
-    /// derived on first sight and cached for the rest of the batch.
-    fn event_keys(
-        &mut self,
-        schema: &Schema,
-        topic_key: &DeriveKey,
-        topic_id: u64,
-        epoch: u64,
-        addrs: Vec<EventKeyAddress>,
-    ) -> &EventKeys {
-        let key = (topic_id, epoch, addrs);
-        if self.keys.len() >= EVENT_KEY_CACHE_CAP && !self.keys.contains_key(&key) {
-            self.keys.clear();
-        }
-        let BatchWorker { cache, ops, keys } = self;
-        keys.entry(key).or_insert_with_key(|k| {
-            let parts: Vec<DeriveKey> =
-                k.2.iter()
-                    .map(|a| derive_part_cached(schema, cache, ops, topic_key, epoch, a))
-                    .collect();
-            let master = combine_master(&parts, ops);
-            EventKeys {
-                aes: AesContext::new(master.content_key().as_bytes()),
-                mac: mac_key(&master, ops),
-            }
-        })
-    }
-}
-
-/// A per-topic credential resolved once per batch: the topic key, the
-/// publisher-lifetime stable topic id (cache identity across batches),
-/// plus [`PrfContext`]s so tagging each event and seeding its RNG cost
-/// two SHA-1 compressions each instead of re-deriving HMAC pads per
-/// event.
-struct ResolvedCredential {
+struct Installed {
     topic_key: DeriveKey,
-    topic_id: u64,
-    tag_ctx: PrfContext,
+    token: Token,
+    /// A PRF keyed under `KH(K(w), "psguard-iv-seed")`. Brokers never hold
+    /// `K(w)`, so the iv/nonce stream this context seeds is unpredictable
+    /// to them.
     iv_ctx: PrfContext,
 }
 
-/// The per-topic IV-derivation context: a PRF keyed under
-/// `KH(K(w), "psguard-iv-seed")`. Brokers never hold `K(w)`, so the
-/// iv/nonce stream this context seeds is unpredictable to them.
-fn iv_context(topic_key: &DeriveKey) -> PrfContext {
-    PrfContext::new(topic_key.kh(IV_SEED_LABEL).as_bytes())
-}
-
-/// One per-attribute key part, routing numeric parts through a key cache
-/// (consecutive events with nearby values share long NAKT prefixes).
-fn derive_part_cached(
-    schema: &Schema,
-    cache: &mut KeyCache,
-    ops: &mut OpCounter,
-    topic_key: &DeriveKey,
-    epoch: u64,
-    addr: &EventKeyAddress,
-) -> DeriveKey {
-    if let EventKeyAddress::Numeric { attr, ktid } = addr {
-        ops.add_kh(1);
-        let auth = AuthKey {
-            scope: KeyScope::Numeric {
-                attr: attr.clone(),
-                ktid: Ktid::root(),
-            },
-            key: topic_key.kh(attr.as_bytes()),
-            epoch: EpochId(epoch),
-        };
-        if let Some(k) = cache.derive_numeric_cached(&auth, ktid, ops) {
-            return k;
-        }
-    }
-    part_from_topic_key(topic_key, schema, addr, ops)
-}
-
-/// Encrypts and tags one event inside a batch, drawing iv and nonce from
-/// the event's own deterministic `rng` (seeded by batch and index, so the
-/// output is independent of how events are chunked across workers).
-fn encrypt_one(
-    schema: &Schema,
-    cred: &ResolvedCredential,
-    worker: &mut BatchWorker,
-    event: &Event,
-    epoch: u64,
-    rng: &mut StdRng,
-) -> Result<SecureEvent, PublishError> {
-    let addrs = event_key_addresses(schema, event)?;
-    let keys = worker.event_keys(schema, &cred.topic_key, cred.topic_id, epoch, addrs);
-
-    let mut iv = [0u8; 16];
-    rng.fill_bytes(&mut iv);
-    let ciphertext = keys.aes.encrypt_cbc(&iv, event.payload());
-    let mut mac_input = Vec::with_capacity(16 + ciphertext.len());
-    mac_input.extend_from_slice(&iv);
-    mac_input.extend_from_slice(&ciphertext);
-    let mac = psguard_crypto::kh(keys.mac.as_bytes(), &mac_input);
-    worker.ops.add_kh(1);
-
-    let mut routed = Event::builder("")
-        .id(event.id())
-        .publisher(event.publisher());
-    for (name, value) in event.attrs() {
-        routed = routed.attr(name.clone(), value.clone());
-    }
-    let routed = routed.payload(ciphertext).build();
-
-    let mut nonce = [0u8; 16];
-    rng.fill_bytes(&mut nonce);
-    Ok(SecureEvent {
-        tag: RoutableTag {
-            nonce,
-            tag: cred.tag_ctx.prf(&nonce),
-        },
-        event: routed,
-        iv,
-        epoch,
-        mac,
-    })
-}
-
 /// One event's private iv/nonce RNG, seeded by the topic's secret IV
-/// context over ⟨publisher id ‖ stream ‖ index⟩.
+/// context over ⟨publisher id ‖ stream ‖ index ‖ half⟩.
 ///
 /// The PRF is keyed under `K(w)`-derived material, so brokers (who see
-/// only tokens and ciphertext) cannot predict any iv or nonce. The input
-/// encodes the stream and index in separate 8-byte fields — injective,
+/// only tokens and ciphertext) cannot predict any iv or nonce. The
+/// publisher id and index sit in separate 8-byte fields — injective,
 /// unlike a 64-bit fold, so no two events of one publisher can collide
-/// onto the same seed — and two PRF calls stretch the output to the full
+/// onto the same seed. The 8-byte stream field is always zero; it keeps
+/// the 25-byte input, and so every iv and nonce, stable. The last byte
+/// selects which of two PRF calls stretches the output to the full
 /// 32-byte `StdRng` seed.
-fn event_rng(iv_ctx: &PrfContext, base: u64, stream: u64, idx: u64) -> StdRng {
+fn event_rng(iv_ctx: &PrfContext, base: u64, idx: u64) -> StdRng {
     let mut input = [0u8; 25];
     input[..8].copy_from_slice(&base.to_be_bytes());
-    input[8..16].copy_from_slice(&stream.to_be_bytes());
     input[16..24].copy_from_slice(&idx.to_be_bytes());
     let mut seed = [0u8; 32];
-    input[24] = 0;
     seed[..20].copy_from_slice(iv_ctx.prf(&input).as_bytes());
     input[24] = 1;
     seed[20..].copy_from_slice(&iv_ctx.prf(&input).as_bytes()[..12]);
@@ -226,23 +76,14 @@ fn event_rng(iv_ctx: &PrfContext, base: u64, stream: u64, idx: u64) -> StdRng {
 pub struct Publisher {
     name: String,
     schema: Schema,
-    credentials: HashMap<(String, u64), PublisherCredential>,
+    /// Installed credentials by topic, then epoch, so a publish looks its
+    /// credential up by `&str` without allocating.
+    credentials: HashMap<String, HashMap<u64, Installed>>,
     seed_base: u64,
     ops: OpCounter,
     cache: KeyCache,
-    /// Stable per-topic ids, assigned on first publish and kept for the
-    /// publisher's lifetime; the worker event-key caches are keyed by
-    /// these so entries can never be confused across topics.
-    topic_ids: HashMap<String, u64>,
-    /// Per-(topic, epoch) IV-derivation contexts for the serial path.
-    iv_ctxs: HashMap<(String, u64), PrfContext>,
-    /// Serial publishes so far; the index within [`SERIAL_STREAM`].
-    serial_seq: u64,
-    /// Per-worker derivation caches persisted across batches.
-    workers: Vec<BatchWorker>,
-    /// Batches published so far; the stream id of every batched event's
-    /// RNG seed (1-based, so it never collides with [`SERIAL_STREAM`]).
-    batch_counter: u64,
+    /// Publishes so far; the index in every event's RNG seed.
+    seq: u64,
 }
 
 impl Publisher {
@@ -265,23 +106,8 @@ impl Publisher {
             // Publisher-side derived-key cache (§3.2.3 applies to
             // "the KDC, the publishers and the subscribers").
             cache: KeyCache::new(64 * 1024),
-            topic_ids: HashMap::new(),
-            iv_ctxs: HashMap::new(),
-            serial_seq: 0,
-            workers: Vec::new(),
-            batch_counter: 0,
+            seq: 0,
         }
-    }
-
-    /// The stable publisher-lifetime id for `topic`, assigned on first
-    /// sight.
-    fn topic_id(&mut self, topic: &str) -> u64 {
-        if let Some(&id) = self.topic_ids.get(topic) {
-            return id;
-        }
-        let id = self.topic_ids.len() as u64;
-        self.topic_ids.insert(topic.to_owned(), id);
-        id
     }
 
     /// Publisher-side key-cache statistics.
@@ -293,19 +119,28 @@ impl Publisher {
     /// the publisher's key cache (consecutive events with nearby values
     /// share long NAKT prefixes).
     fn derive_part(
-        &mut self,
-        topic_key: &psguard_crypto::DeriveKey,
+        schema: &Schema,
+        cache: &mut KeyCache,
+        ops: &mut OpCounter,
+        topic_key: &DeriveKey,
         epoch: u64,
         addr: &EventKeyAddress,
     ) -> DeriveKey {
-        derive_part_cached(
-            &self.schema,
-            &mut self.cache,
-            &mut self.ops,
-            topic_key,
-            epoch,
-            addr,
-        )
+        if let EventKeyAddress::Numeric { attr, ktid } = addr {
+            ops.add_kh(1);
+            let auth = AuthKey {
+                scope: KeyScope::Numeric {
+                    attr: attr.clone(),
+                    ktid: Ktid::root(),
+                },
+                key: topic_key.kh(attr.as_bytes()),
+                epoch: EpochId(epoch),
+            };
+            if let Some(k) = cache.derive_numeric_cached(&auth, ktid, ops) {
+                return k;
+            }
+        }
+        part_from_topic_key(topic_key, schema, addr, ops)
     }
 
     /// The publisher's principal name.
@@ -315,8 +150,21 @@ impl Publisher {
 
     /// Installs a credential (called by the service facade).
     pub fn install_credential(&mut self, credential: PublisherCredential) {
-        self.credentials
-            .insert((credential.topic.clone(), credential.epoch), credential);
+        let PublisherCredential {
+            topic,
+            epoch,
+            topic_key,
+            token,
+        } = credential;
+        let iv_ctx = PrfContext::new(topic_key.kh(IV_SEED_LABEL).as_bytes());
+        self.credentials.entry(topic).or_default().insert(
+            epoch,
+            Installed {
+                topic_key,
+                token,
+                iv_ctx,
+            },
+        );
     }
 
     /// Cumulative key-derivation cost since creation.
@@ -336,45 +184,46 @@ impl Publisher {
     ///   `(topic, epoch)`;
     /// * [`PublishError::EventKey`] when the event violates the schema.
     pub fn publish(&mut self, event: &Event, epoch: u64) -> Result<SecureEvent, PublishError> {
-        let credential = self
-            .credentials
-            .get(&(event.topic().to_owned(), epoch))
+        let Publisher {
+            schema,
+            credentials,
+            seed_base,
+            ops,
+            cache,
+            seq,
+            ..
+        } = self;
+        let credential = credentials
+            .get(event.topic())
+            .and_then(|by_epoch| by_epoch.get(&epoch))
             .ok_or_else(|| PublishError::UnknownTopic {
                 topic: event.topic().to_owned(),
-            })?
-            .clone();
+            })?;
 
         // K(e): fold the per-attribute event keys (numeric parts go
         // through the publisher's key cache).
-        let addrs = event_key_addresses(&self.schema, event)?;
+        let addrs = event_key_addresses(schema, event)?;
         let parts: Vec<DeriveKey> = addrs
             .iter()
-            .map(|a| self.derive_part(&credential.topic_key, epoch, a))
+            .map(|a| Self::derive_part(schema, cache, ops, &credential.topic_key, epoch, a))
             .collect();
-        let master = combine_master(&parts, &mut self.ops);
+        let master = combine_master(&parts, ops);
         let key = master.content_key();
 
         // iv and nonce come from a per-event RNG keyed under the topic
         // key — deterministic for a seeded KDC, unpredictable to brokers.
-        let seq = self.serial_seq;
-        self.serial_seq += 1;
-        let mut rng = {
-            let iv_ctx = self
-                .iv_ctxs
-                .entry((credential.topic.clone(), epoch))
-                .or_insert_with(|| iv_context(&credential.topic_key));
-            event_rng(iv_ctx, self.seed_base, SERIAL_STREAM, seq)
-        };
+        let mut rng = event_rng(&credential.iv_ctx, *seed_base, *seq);
+        *seq += 1;
 
         // Encrypt the payload, then MAC ⟨iv ‖ ciphertext⟩ so receivers can
         // verify key agreement and integrity before decrypting.
         let mut iv = [0u8; 16];
         rng.fill_bytes(&mut iv);
         let ciphertext = cbc_encrypt(&Aes128::new(key.as_bytes()), &iv, event.payload());
-        let mk = mac_key(&master, &mut self.ops);
+        let mk = mac_key(&master, ops);
         let mut mac_input = iv.to_vec();
         mac_input.extend_from_slice(&ciphertext);
-        self.ops.add_kh(1);
+        ops.add_kh(1);
         let mac = psguard_crypto::kh(mk.as_bytes(), &mac_input);
 
         // Strip the plaintext topic; brokers see only the tag.
@@ -393,125 +242,6 @@ impl Publisher {
             epoch,
             mac,
         })
-    }
-
-    /// Encrypts and tags a whole batch of events across `workers` threads,
-    /// each with its own KDC derivation cache and reusable crypto contexts
-    /// (per-topic [`PrfContext`], per-event-key [`AesContext`]).
-    ///
-    /// The output is **bit-identical for any worker count**: every event's
-    /// iv and nonce come from a private RNG keyed under the topic key and
-    /// seeded by the publisher identity, the batch counter, and the
-    /// event's index — never by how events happen to be chunked across
-    /// threads. (It therefore differs from the iv/nonce stream of serial
-    /// [`publish`](Self::publish) calls, which occupy their own stream.)
-    ///
-    /// Worker caches persist across batches, so a steady stream of batches
-    /// amortizes NAKT chain walks and AES key schedules the same way the
-    /// serial path's cache does.
-    ///
-    /// # Errors
-    ///
-    /// As [`publish`](Self::publish); on failure the earliest failing
-    /// event's error is returned, independent of worker count.
-    pub fn publish_batch(
-        &mut self,
-        events: &[Event],
-        epoch: u64,
-        workers: usize,
-    ) -> Result<Vec<SecureEvent>, PublishError> {
-        let workers = workers.max(1);
-        self.batch_counter += 1;
-        let batch = self.batch_counter;
-        if events.is_empty() {
-            return Ok(Vec::new());
-        }
-
-        // Resolve each distinct topic once, failing fast before any
-        // thread is spawned.
-        let mut topic_idx: HashMap<&str, usize> = HashMap::new();
-        let mut creds: Vec<ResolvedCredential> = Vec::new();
-        let mut event_topic: Vec<usize> = Vec::with_capacity(events.len());
-        for e in events {
-            let idx = if let Some(&i) = topic_idx.get(e.topic()) {
-                i
-            } else {
-                let c = self
-                    .credentials
-                    .get(&(e.topic().to_owned(), epoch))
-                    .ok_or_else(|| PublishError::UnknownTopic {
-                        topic: e.topic().to_owned(),
-                    })?;
-                let topic_key = c.topic_key.clone();
-                let tag_ctx = PrfContext::for_token(&c.token);
-                creds.push(ResolvedCredential {
-                    topic_id: self.topic_id(e.topic()),
-                    iv_ctx: iv_context(&topic_key),
-                    topic_key,
-                    tag_ctx,
-                });
-                topic_idx.insert(e.topic(), creds.len() - 1);
-                creds.len() - 1
-            };
-            event_topic.push(idx);
-        }
-
-        while self.workers.len() < workers {
-            self.workers.push(BatchWorker::new());
-        }
-
-        let chunk = events.len().div_ceil(workers);
-        let n_chunks = events.len().div_ceil(chunk);
-        let mut outs: Vec<Vec<Result<SecureEvent, PublishError>>> = Vec::new();
-        outs.resize_with(n_chunks, Vec::new);
-
-        let schema = &self.schema;
-        let seed_base = self.seed_base;
-        let states = &mut self.workers;
-        let creds = &creds;
-        let event_topic = &event_topic;
-        if n_chunks == 1 {
-            // Single worker: run inline; no thread overhead.
-            let out = &mut outs[0];
-            let state = &mut states[0];
-            for (i, e) in events.iter().enumerate() {
-                let cred = &creds[event_topic[i]];
-                let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
-                out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
-            }
-        } else {
-            std::thread::scope(|s| {
-                for (chunk_no, ((chunk_events, out), state)) in events
-                    .chunks(chunk)
-                    .zip(outs.iter_mut())
-                    .zip(states.iter_mut())
-                    .enumerate()
-                {
-                    s.spawn(move || {
-                        for (j, e) in chunk_events.iter().enumerate() {
-                            let i = chunk_no * chunk + j;
-                            let cred = &creds[event_topic[i]];
-                            let mut rng = event_rng(&cred.iv_ctx, seed_base, batch, i as u64);
-                            out.push(encrypt_one(schema, cred, state, e, epoch, &mut rng));
-                        }
-                    });
-                }
-            });
-        }
-
-        // Fold worker op counts into the publisher's running total.
-        let mut merged = OpCounter::new();
-        for state in &mut self.workers {
-            merged.merge(&state.ops);
-            state.ops = OpCounter::new();
-        }
-        self.ops.merge(&merged);
-
-        let mut result = Vec::with_capacity(events.len());
-        for r in outs.into_iter().flatten() {
-            result.push(r?);
-        }
-        Ok(result)
     }
 }
 
@@ -643,183 +373,16 @@ mod tests {
         assert!(p.ops().total() > 0);
     }
 
-    fn batch_events(n: usize) -> Vec<Event> {
-        (0..n)
-            .map(|i| {
-                Event::builder("w")
-                    .attr("age", (i % 200) as i64)
-                    .payload(vec![i as u8; 48])
-                    .build()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_output_identical_for_any_worker_count() {
-        let events = batch_events(37);
-        let (mut p, _) = publisher_with_credential();
-        let baseline = p.publish_batch(&events, 0, 1).unwrap();
-        assert_eq!(baseline.len(), events.len());
-        for workers in [2usize, 4, 8] {
-            let (mut q, _) = publisher_with_credential();
-            let got = q.publish_batch(&events, 0, workers).unwrap();
-            assert_eq!(got, baseline, "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn batch_events_decrypt_and_route_like_serial_ones() {
-        let (mut p, kdc) = publisher_with_credential();
-        let events = batch_events(9);
-        let batch = p.publish_batch(&events, 0, 4).unwrap();
-        let token = kdc.routing_token("w");
-        for (e, s) in events.iter().zip(&batch) {
-            assert_eq!(s.event.topic(), "");
-            assert!(s.tag.matches(&token));
-            assert_eq!(
-                s.event.attr("age").and_then(|v| v.as_int()),
-                e.attr("age").and_then(|v| v.as_int())
-            );
-        }
-
-        // Full-facade check: a subscriber authorized for the topic can
-        // verify and decrypt every envelope in the batch.
-        use crate::{PsGuard, PsGuardConfig};
-        let schema = Schema::builder()
-            .numeric("age", IntRange::new(0, 255).unwrap(), 1)
-            .unwrap()
-            .build();
-        let ps = PsGuard::new(b"seed3", schema, PsGuardConfig::default());
-        let mut publisher = ps.publisher("P");
-        ps.authorize_publisher(&mut publisher, "w", 0);
-        let mut sub = ps.subscriber("S");
-        ps.authorize_subscriber(&mut sub, &psguard_model::Filter::for_topic("w"), 0)
-            .unwrap();
-        for (i, s) in publisher
-            .publish_batch(&events, 0, 3)
-            .unwrap()
-            .iter()
-            .enumerate()
-        {
-            assert_eq!(sub.decrypt(s).unwrap().payload(), vec![i as u8; 48]);
-        }
-    }
-
-    #[test]
-    fn successive_batches_draw_fresh_randomness() {
-        let (mut p, _) = publisher_with_credential();
-        let events = batch_events(4);
-        let first = p.publish_batch(&events, 0, 2).unwrap();
-        let second = p.publish_batch(&events, 0, 2).unwrap();
-        for (a, b) in first.iter().zip(&second) {
-            assert_ne!(a.iv, b.iv);
-            assert_ne!(a.tag.nonce, b.tag.nonce);
-        }
-        assert!(p.ops().total() > 0);
-    }
-
-    #[test]
-    fn batch_errors_do_not_depend_on_worker_count() {
-        let events = vec![
-            Event::builder("w")
-                .attr("age", 1i64)
-                .payload(vec![1])
-                .build(),
-            Event::builder("other").payload(vec![2]).build(),
-        ];
-        for workers in [1usize, 2, 8] {
-            let (mut p, _) = publisher_with_credential();
-            assert!(matches!(
-                p.publish_batch(&events, 0, workers),
-                Err(PublishError::UnknownTopic { ref topic }) if topic == "other"
-            ));
-        }
-        // A schema violation surfaces as the earliest failing event's
-        // error for every worker count.
-        let bad = vec![
-            Event::builder("w")
-                .attr("age", 1i64)
-                .payload(vec![1])
-                .build(),
-            Event::builder("w")
-                .attr("age", "not numeric")
-                .payload(vec![2])
-                .build(),
-        ];
-        for workers in [1usize, 2, 8] {
-            let (mut p, _) = publisher_with_credential();
-            assert!(matches!(
-                p.publish_batch(&bad, 0, workers),
-                Err(PublishError::EventKey(_))
-            ));
-        }
-    }
-
-    #[test]
-    fn empty_batch_is_a_noop() {
-        let (mut p, _) = publisher_with_credential();
-        assert_eq!(p.publish_batch(&[], 0, 4).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn reordered_topics_across_batches_reuse_no_stale_keys() {
-        // Regression: worker event-key caches persist across batches, so
-        // a batch whose topics arrive in a different first-seen order
-        // than an earlier batch must not hit another topic's cached
-        // K(e). Events carry identical keyed attributes to force the
-        // cache collision a per-batch index key would produce.
-        use crate::{PsGuard, PsGuardConfig};
-        let schema = Schema::builder()
-            .numeric("age", IntRange::new(0, 255).unwrap(), 1)
-            .unwrap()
-            .build();
-        let ps = PsGuard::new(b"seed4", schema, PsGuardConfig::default());
-        let mut publisher = ps.publisher("P");
-        ps.authorize_publisher(&mut publisher, "w", 0);
-        ps.authorize_publisher(&mut publisher, "v", 0);
-        let mut sub_w = ps.subscriber("Sw");
-        ps.authorize_subscriber(&mut sub_w, &psguard_model::Filter::for_topic("w"), 0)
-            .unwrap();
-        let mut sub_v = ps.subscriber("Sv");
-        ps.authorize_subscriber(&mut sub_v, &psguard_model::Filter::for_topic("v"), 0)
-            .unwrap();
-        let ev = |topic: &str, payload: &[u8]| {
-            Event::builder(topic)
-                .attr("age", 10i64)
-                .payload(payload.to_vec())
-                .build()
-        };
-        for workers in [1usize, 3] {
-            let first = publisher
-                .publish_batch(&[ev("w", b"w1"), ev("v", b"v1")], 0, workers)
-                .unwrap();
-            let second = publisher
-                .publish_batch(&[ev("v", b"v2"), ev("w", b"w2")], 0, workers)
-                .unwrap();
-            assert_eq!(sub_w.decrypt(&first[0]).unwrap().payload(), b"w1");
-            assert_eq!(sub_v.decrypt(&first[1]).unwrap().payload(), b"v1");
-            assert_eq!(sub_v.decrypt(&second[0]).unwrap().payload(), b"v2");
-            assert_eq!(sub_w.decrypt(&second[1]).unwrap().payload(), b"w2");
-        }
-    }
-
-    #[test]
-    fn serial_and_batch_streams_never_share_ivs_or_nonces() {
-        let (mut p, _) = publisher_with_credential();
-        let events = batch_events(8);
-        let serial: Vec<_> = events.iter().map(|e| p.publish(e, 0).unwrap()).collect();
-        let batch = p.publish_batch(&events, 0, 2).unwrap();
-        let mut ivs = std::collections::HashSet::new();
-        let mut nonces = std::collections::HashSet::new();
-        for s in serial.iter().chain(&batch) {
-            assert!(ivs.insert(s.iv), "iv reused across streams");
-            assert!(nonces.insert(s.tag.nonce), "nonce reused across streams");
-        }
-    }
-
     #[test]
     fn publishers_with_distinct_names_draw_distinct_ivs() {
-        let events = batch_events(4);
+        let events: Vec<Event> = (0..4)
+            .map(|i| {
+                Event::builder("w")
+                    .attr("age", i64::from(i))
+                    .payload(vec![i; 48])
+                    .build()
+            })
+            .collect();
         let mut outs = Vec::new();
         for name in ["P1", "P2"] {
             let schema = Schema::builder()
@@ -835,7 +398,8 @@ mod tests {
                 topic_key: kdc.topic_key("w", EpochId(0), &TopicScope::Shared, &mut ops),
                 token: kdc.routing_token("w"),
             });
-            outs.push(p.publish_batch(&events, 0, 1).unwrap());
+            let out: Vec<SecureEvent> = events.iter().map(|e| p.publish(e, 0).unwrap()).collect();
+            outs.push(out);
         }
         for (a, b) in outs[0].iter().zip(&outs[1]) {
             assert_ne!(a.iv, b.iv);

@@ -123,83 +123,60 @@ impl Subscriber {
     /// the event does not match any granted filter, and
     /// [`DecryptError::EpochMismatch`] for stale grants (lazy revocation).
     pub fn decrypt(&mut self, secure: &SecureEvent) -> Result<Event, DecryptError> {
+        let Subscriber {
+            schema,
+            subscriptions,
+            cache,
+            ops,
+            ..
+        } = self;
         // Which subscription does this event belong to?
-        let matching: Vec<usize> = self
-            .subscriptions
+        let matching: Vec<&Installed> = subscriptions
             .iter()
-            .enumerate()
-            .filter(|(_, s)| secure.tag.matches(&s.token))
-            .map(|(i, _)| i)
+            .filter(|s| secure.tag.matches(&s.token))
             .collect();
         if matching.is_empty() {
             return Err(DecryptError::NoMatchingSubscription);
         }
 
-        let addrs = event_key_addresses(&self.schema, &secure.event)?;
+        let addrs = event_key_addresses(schema, &secure.event)?;
 
         let mut saw_epoch_mismatch = None;
         let mut saw_mac_failure = false;
-        for idx in matching {
-            let (grant_epoch, maybe_key) = {
-                let sub = &self.subscriptions[idx];
-                if sub.grant.epoch.0 != secure.epoch {
-                    (sub.grant.epoch.0, None)
-                } else {
-                    let grant = sub.grant.clone();
-                    let mut parts = Vec::with_capacity(addrs.len());
-                    let mut ok = true;
-                    for addr in &addrs {
-                        match Self::derive_part(
-                            &mut self.cache,
-                            &self.schema,
-                            &grant,
-                            addr,
-                            &mut self.ops,
-                        ) {
-                            Some(p) => parts.push(p),
-                            None => {
-                                ok = false;
-                                break;
-                            }
-                        }
-                    }
-                    if ok {
-                        (
-                            sub.grant.epoch.0,
-                            Some(combine_master(&parts, &mut self.ops)),
-                        )
-                    } else {
-                        (sub.grant.epoch.0, None)
-                    }
-                }
-            };
-            if self.subscriptions[idx].grant.epoch.0 != secure.epoch {
-                saw_epoch_mismatch = Some(grant_epoch);
+        for sub in matching {
+            if sub.grant.epoch.0 != secure.epoch {
+                saw_epoch_mismatch = Some(sub.grant.epoch.0);
                 continue;
             }
-            if let Some(master) = maybe_key {
-                // Verify the encrypt-then-MAC tag before decrypting: a
-                // wrong derivation (or tampering) is rejected here rather
-                // than risking a CBC padding false-positive.
-                let mk = mac_key(&master, &mut self.ops);
-                let mut mac_input = secure.iv.to_vec();
-                mac_input.extend_from_slice(secure.event.payload());
-                self.ops.add_kh(1);
-                let expect = psguard_crypto::kh(mk.as_bytes(), &mac_input);
-                if !psguard_crypto::ct_eq(&expect, &secure.mac) {
-                    saw_mac_failure = true;
-                    continue; // try other matching subscriptions, if any
-                }
-                let key = master.content_key();
-                let plaintext = cbc_decrypt(
-                    &Aes128::new(key.as_bytes()),
-                    &secure.iv,
-                    secure.event.payload(),
-                )?;
-                let mut restored = secure.event.clone();
-                restored.replace_payload(plaintext);
-                return Ok(restored);
+            let Some(parts) = addrs
+                .iter()
+                .map(|addr| Self::derive_part(cache, schema, &sub.grant, addr, ops))
+                .collect::<Option<Vec<DeriveKey>>>()
+            else {
+                continue;
+            };
+            let master = combine_master(&parts, ops);
+            // Verify the encrypt-then-MAC tag before decrypting: a wrong
+            // derivation (or tampering) is rejected here rather than
+            // risking a CBC padding false-positive.
+            let mk = mac_key(&master, ops);
+            let mut mac_input = secure.iv.to_vec();
+            mac_input.extend_from_slice(secure.event.payload());
+            ops.add_kh(1);
+            let expect = psguard_crypto::kh(mk.as_bytes(), &mac_input);
+            if !psguard_crypto::ct_eq(&expect, &secure.mac) {
+                saw_mac_failure = true;
+                continue; // try other matching subscriptions, if any
             }
+            let key = master.content_key();
+            let plaintext = cbc_decrypt(
+                &Aes128::new(key.as_bytes()),
+                &secure.iv,
+                secure.event.payload(),
+            )?;
+            let mut restored = secure.event.clone();
+            restored.replace_payload(plaintext);
+            return Ok(restored);
         }
 
         if saw_mac_failure {

@@ -38,7 +38,7 @@ use crate::log::{
 use crate::semantics::FilterSemantics;
 use crate::table::Peer;
 use crate::tcp::{StatsInner, TcpConfig, TcpStats};
-use crate::wire::{filter_crc, Message, Wire};
+use crate::wire::{filter_crc, Message, Wire, MAX_FRAME, STAMPED_OVERHEAD};
 
 /// Hard cap on the reactor worker pool (also the width of the
 /// dispatcher's dirty-worker wake mask).
@@ -818,13 +818,17 @@ where
                     // Durable brokers log before fan-out: the record is
                     // the encoded event verbatim (already-sealed bytes —
                     // the log never sees plaintext). On append failure
-                    // the event is still delivered live, unstamped.
+                    // the event is still delivered live, unstamped. An
+                    // event whose stamped frame would exceed MAX_FRAME
+                    // counts as a failed append: logging it would make
+                    // every catch-up replay a frame the client rejects.
                     if let Some(d) = durable.as_mut() {
                         d.buf.clear();
                         e.encode(&mut d.buf);
-                        match d.log.append(&d.buf) {
-                            Ok(cursor) => publish_stamp = Some(cursor),
-                            Err(_) => {
+                        let stampable = d.buf.len() + STAMPED_OVERHEAD <= MAX_FRAME;
+                        match stampable.then(|| d.log.append(&d.buf)) {
+                            Some(Ok(cursor)) => publish_stamp = Some(cursor),
+                            _ => {
                                 stats.log_append_failures.fetch_add(1, Ordering::Relaxed);
                             }
                         }

@@ -120,8 +120,9 @@ pub struct TcpStats {
     /// Replayed (`Stamped`) frames a durable broker queued toward
     /// catching-up subscribers (broker only).
     pub replayed_frames: u64,
-    /// Publishes a durable broker could not append to its event log
-    /// (delivered live, unstamped, instead) (broker only).
+    /// Publishes a durable broker could not append to its event log, or
+    /// whose cursor-stamped frame would exceed `MAX_FRAME` (delivered
+    /// live, unstamped, instead) (broker only).
     pub log_append_failures: u64,
     /// Stamped events suppressed by the client's replay/live dedup
     /// window — the double-delivery the catch-up protocol absorbs

@@ -464,6 +464,10 @@ pub enum Message<F, E> {
     },
 }
 
+/// Bytes a [`Message::Stamped`] payload adds around the event encoding:
+/// magic, tag and the 12-byte cursor.
+pub(crate) const STAMPED_OVERHEAD: usize = 2 + 12;
+
 /// FNV-1a (32-bit) over a filter's wire encoding: the identifier echoed
 /// in [`Message::SubAck`].
 pub fn filter_crc<F: Wire>(filter: &F) -> u32 {
@@ -738,8 +742,9 @@ mod tests {
             event: e.clone(),
         };
         let bytes = stamped.to_bytes();
-        let mut tail = &bytes[2 + 12..]; // magic + tag + cursor
+        let mut tail = &bytes[STAMPED_OVERHEAD..];
         assert_eq!(Event::decode(&mut tail).unwrap(), e);
+        assert_eq!(bytes.len(), STAMPED_OVERHEAD + e.to_bytes().len());
     }
 
     #[test]

@@ -393,3 +393,53 @@ fn live_publishes_during_replay_stay_ordered_and_exactly_once() {
     broker.shutdown();
     cleanup(&dir);
 }
+
+#[test]
+fn publish_too_large_to_stamp_is_delivered_live_and_not_logged() {
+    use psguard_siena::wire::MAX_FRAME;
+    use psguard_siena::{Message, Wire};
+
+    let dir = tmp_dir("overflow");
+    let (broker, _) = spawn_broker_durable::<Filter>(
+        "127.0.0.1:0",
+        None,
+        TcpConfig::default(),
+        LogConfig::new(&dir),
+    )
+    .expect("spawn durable");
+    let sub: TcpClient<Filter> = TcpClient::connect(broker.addr()).expect("connect");
+    let publisher: TcpClient<Filter> = TcpClient::connect(broker.addr()).expect("connect");
+    sub.subscribe_acked(Filter::for_topic("t"), ACK_WAIT)
+        .expect("acked");
+    publisher.publish(numbered(1)).expect("publish");
+    let first = sub.recv_timeout(RECV_WAIT).expect("delivery");
+    assert_eq!(index_of(&first), 1);
+    assert_eq!(sub.cursor(), Some(Cursor { epoch: 1, seq: 1 }));
+
+    // A Publish frame 4 bytes under the limit: it passes the broker's
+    // inbound check, but its Stamped copy carries 12 more cursor bytes
+    // and would not fit in a frame.
+    let frame_len = |payload: usize| {
+        let e = Event::builder("t").payload(vec![0xab; payload]).build();
+        Message::<Filter, Event>::Publish(e).to_bytes().len()
+    };
+    let payload = MAX_FRAME - 4 - frame_len(0);
+    assert_eq!(frame_len(payload), MAX_FRAME - 4);
+    let big = Event::builder("t").payload(vec![0xab; payload]).build();
+    publisher.publish(big).expect("publish");
+    publisher.publish(numbered(2)).expect("publish");
+
+    let got = sub
+        .recv_timeout(RECV_WAIT)
+        .expect("oversized event delivered live");
+    assert_eq!(got.payload().len(), payload);
+    let next = sub.recv_timeout(RECV_WAIT).expect("next delivery");
+    assert_eq!(index_of(&next), 2);
+    // The big event never reached the log, so the next one is seq 2.
+    assert_eq!(sub.cursor(), Some(Cursor { epoch: 1, seq: 2 }));
+    assert_eq!(sub.stats().reconnects, 0);
+    assert_eq!(broker.stats().log_append_failures, 1);
+
+    broker.shutdown();
+    cleanup(&dir);
+}

@@ -293,6 +293,19 @@ fn taint_plaintext_to_format_sink_flagged_with_full_chain() {
 }
 
 #[test]
+fn taint_plaintext_through_pipeline_batch_flagged() {
+    // `publish_batch` routes without sealing: matching a sanitizer by
+    // bare name must not let the sharded pipeline's batch call launder
+    // plaintext.
+    let report = taint_on(&[("crates/siena/src/fixture.rs", "taint_batch_violation.rs")]);
+    let flows = by_rule(&report.findings, Rule::ConfidentialityTaint);
+    assert_eq!(flows.len(), 1, "{flows:#?}");
+    let msg = &flows[0].message;
+    assert!(msg.contains("route_and_persist"), "{msg}");
+    assert!(msg.contains("write_frame"), "{msg}");
+}
+
+#[test]
 fn taint_sealed_flows_pass_clean() {
     let report = taint_on(&[("crates/siena/src/reactor/fixture.rs", "taint_clean.rs")]);
     assert!(report.findings.is_empty(), "{:#?}", report.findings);

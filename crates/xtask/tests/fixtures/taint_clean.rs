@@ -12,7 +12,8 @@ fn relay_opaque(w: &mut TcpStream, frame: &[u8]) {
     w.write_all(frame).ok();
 }
 
-fn persist_sealed(log: &mut LogWriter, publisher: &Publisher, batch: Vec<u8>) {
-    let sealed = publisher.publish_batch(batch);
+fn persist_sealed(log: &mut LogWriter, publisher: &Publisher) {
+    let event = Event::builder("audit").attr("who", 9).build();
+    let sealed = publisher.publish(event);
     write_frame(log, &sealed);
 }

@@ -142,6 +142,70 @@ fn secure_events_route_through_brokers_by_token_and_constraints() {
 }
 
 #[test]
+fn sharded_pipeline_delivers_in_serial_broker_order() {
+    use psguard_siena::ShardedPipeline;
+
+    let ps = deployment();
+    let topics = ["alpha", "beta", "gamma"];
+    let mut publisher = ps.publisher("P");
+    for topic in topics {
+        ps.authorize_publisher(&mut publisher, topic, 0);
+    }
+    let subs: Vec<(Peer, SecureFilter)> = (0..12u32)
+        .map(|c| {
+            let mut s = ps.subscriber(format!("s{c}"));
+            let f = Filter::for_topic(topics[c as usize % 3])
+                .with(Constraint::new("age", Op::Ge(i64::from(c) * 13 % 120)));
+            ps.authorize_subscriber(&mut s, &f, 0).expect("grantable");
+            (Peer::Local(c), s.secure_filters().remove(0))
+        })
+        .collect();
+    let envelopes: Vec<_> = (0..20usize)
+        .map(|i| {
+            let e = Event::builder(topics[i % 3])
+                .attr("age", (i * 31 % 256) as i64)
+                .payload(vec![i as u8; 64])
+                .build();
+            publisher.publish(&e, 0).expect("publishable")
+        })
+        .collect();
+
+    let mut broker: Broker<SecureFilter> = Broker::new(true);
+    for (peer, f) in &subs {
+        broker.subscribe(*peer, f.clone());
+    }
+    let serial: Vec<Vec<Peer>> = envelopes
+        .iter()
+        .map(|envelope| {
+            broker
+                .publish(Peer::Parent, envelope.clone())
+                .into_iter()
+                .map(|a| match a {
+                    Action::Deliver(p, _) => p,
+                    other => panic!("unexpected action {other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    assert!(
+        serial.iter().any(|peers| peers.len() >= 2),
+        "some event must fan out so delivery order is observable"
+    );
+
+    for shards in [1usize, 2, 4, 8] {
+        let mut pipeline: ShardedPipeline<SecureFilter> = ShardedPipeline::new(true, shards);
+        for (peer, f) in &subs {
+            pipeline.subscribe(*peer, f.clone());
+        }
+        let deliveries = pipeline.publish_batch(Peer::Parent, &envelopes);
+        assert_eq!(deliveries.len(), envelopes.len());
+        for (i, want) in serial.iter().enumerate() {
+            assert_eq!(deliveries.for_event(i), want, "shards={shards} event={i}");
+        }
+    }
+}
+
+#[test]
 fn broker_visible_surface_leaks_no_plaintext() {
     let ps = deployment();
     let mut publisher = ps.publisher("P");
